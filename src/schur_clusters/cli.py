@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import product
 
@@ -34,17 +33,6 @@ from .quiver import (
 _LARGE_VARS = 24
 
 
-def _threads() -> int:
-    """Effective worker count: the env var is an upper cap, the engine is
-    serial, so this is min(cap, 1) clamped to at least 1."""
-    raw = os.environ.get("SCHUR_CLUSTERS_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, 1))
-
-
 def _vec(text: str):
     try:
         return tuple(int(p) for p in text.split(","))
@@ -55,7 +43,7 @@ def _vec(text: str):
 
 
 def _meta(args, **extra) -> dict:
-    meta = {"command": args.command, "threads": _threads()}
+    meta = {"command": args.command, "threads": 1}
     for key in ("seed", "bound", "probe_budget", "box", "method"):
         if hasattr(args, key):
             meta[key] = getattr(args, key)

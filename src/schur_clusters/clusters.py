@@ -8,9 +8,11 @@ of a positive member.  Clusters are the maximal preclusters; they all have
 exactly as many elements as the quiver has vertices, which the enumeration
 asserts rather than assumes.
 
-Enumeration runs over the compatibility graph: preclusters are its cliques,
-clusters its maximal cliques.  A naive subset-scan oracle is kept alongside
-for cross-validation.
+Enumeration runs over the compatibility graph on variable indices in
+canonical order: preclusters are its cliques, clusters its maximal cliques.
+The cluster order is computed for all pairs at once from one matrix of
+nonvanishing extension invariants.  A naive subset-scan oracle is kept
+alongside for cross-validation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import networkx as nx
 import numpy as np
 
 from .einv import e_invariant, real_schur_roots
@@ -165,13 +166,54 @@ class Enumeration:
         return x in self.items
 
 
-def _compat_graph(q: Quiver, variables):
-    g = nx.Graph()
-    g.add_nodes_from(range(len(variables)))
+def _cliques(q: Quiver, variables):
+    """Every clique of the compatibility graph on ``variables``, empty one first.
+
+    Yields ``(indices, maximal)`` with ``indices`` an increasing index tuple.
+    The search is a depth-first walk over int-bitset neighbour rows built
+    once from ``compatible``; extending only by larger indices makes the
+    walk visit cliques in lexicographic order.  A clique is maximal when no
+    variable is compatible with all of its members.
+    """
+    rows = [0] * len(variables)
     for i, j in combinations(range(len(variables)), 2):
         if compatible(q, variables[i], variables[j]):
-            g.add_edge(i, j)
-    return g
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+
+    def walk(clique, common, ahead):
+        # common: variables compatible with every member; ahead: those of
+        # them past the last member, taken lowest index first.
+        yield clique, common == 0
+        while ahead:
+            low = ahead & -ahead
+            ahead ^= low
+            j = low.bit_length() - 1
+            yield from walk(clique + (j,), common & rows[j], ahead & rows[j])
+
+    everyone = (1 << len(variables)) - 1
+    yield from walk((), everyone, everyone)
+
+
+def _clusters(q: Quiver, bound, seed, budget):
+    """The variables, their completeness flag, and every cluster as an
+    increasing index tuple into the variables, in lexicographic order."""
+    variables, complete = _variables(q, bound, seed, budget)
+    found = []
+    for clique, maximal in _cliques(q, variables):
+        if len(clique) > q.n:
+            raise RuntimeError(
+                f"internal error: {len(clique)} pairwise compatible variables "
+                f"on a quiver with {q.n} vertices"
+            )
+        if maximal and complete and len(clique) != q.n:
+            raise RuntimeError(
+                "internal error: a maximal compatible set of size "
+                f"{len(clique)} != {q.n} on a Dynkin quiver"
+            )
+        if maximal and len(clique) == q.n:
+            found.append(clique)
+    return variables, complete, found
 
 
 def enumerate_clusters(
@@ -179,28 +221,13 @@ def enumerate_clusters(
 ) -> Enumeration:
     """All clusters: size-n subsets of pairwise compatible variables.
 
-    Uses pivoting maximal-clique search on the compatibility graph.  On a
-    complete variable set every maximal clique must have exactly n members
-    (maximal preclusters are clusters); that fact is asserted at runtime.
+    These are the maximal cliques of the compatibility graph.  On a complete
+    variable set every maximal clique must have exactly n members (maximal
+    preclusters are clusters); that fact is asserted at runtime.
     """
-    variables, complete = _variables(q, bound, seed, budget)
-    g = _compat_graph(q, variables)
-    found = []
-    for clique in nx.find_cliques(g):
-        if len(clique) > q.n:
-            raise RuntimeError(
-                f"internal error: {len(clique)} pairwise compatible variables "
-                f"on a quiver with {q.n} vertices"
-            )
-        if complete and len(clique) != q.n:
-            raise RuntimeError(
-                "internal error: a maximal compatible set of size "
-                f"{len(clique)} != {q.n} on a Dynkin quiver"
-            )
-        if len(clique) == q.n:
-            found.append(tuple(sorted((variables[i] for i in clique), key=var_key)))
-    found.sort(key=cluster_key)
-    return Enumeration(tuple(found), complete, bound)
+    variables, complete, found = _clusters(q, bound, seed, budget)
+    items = tuple(tuple(variables[i] for i in c) for c in found)
+    return Enumeration(items, complete, bound)
 
 
 def enumerate_clusters_naive(
@@ -227,12 +254,9 @@ def enumerate_preclusters(
     variables, complete = _variables(q, bound, seed, budget)
     if positive_only:
         variables = tuple(v for v in variables if all(a >= 0 for a in v))
-    g = _compat_graph(q, variables)
-    items = [()]
-    for clique in nx.enumerate_all_cliques(g):
-        items.append(tuple(sorted((variables[i] for i in clique), key=var_key)))
-    items.sort(key=lambda c: (len(c), cluster_key(c)))
-    return Enumeration(tuple(items), complete, bound)
+    cliques = sorted((c for c, _ in _cliques(q, variables)), key=lambda c: (len(c), c))
+    items = tuple(tuple(variables[i] for i in c) for c in cliques)
+    return Enumeration(items, complete, bound)
 
 
 def complete_to_cluster(
@@ -258,27 +282,15 @@ def complete_to_cluster(
         if v not in chosen_set and all(compatible(q, v, w) for w in svars)
     ]
     need = q.n - len(svars)
-
-    def dfs(chosen, start):
-        if len(chosen) == need:
-            return chosen
-        for idx in range(start, len(cands)):
-            if len(cands) - idx < need - len(chosen):
-                break
-            v = cands[idx]
-            if all(compatible(q, v, w) for w in chosen):
-                out = dfs(chosen + [v], idx + 1)
-                if out is not None:
-                    return out
-        return None
-
-    extra = dfs([], 0)
+    # Lexicographic order on the extensions is that on the completed
+    # clusters, so the first clique of the right size is the least one.
+    extra = next((c for c, _ in _cliques(q, cands) if len(c) == need), None)
     if extra is None:
         raise CompletionNotFound(
             f"no cluster contains {svars}"
             + ("" if bound is None else f" within height bound {bound}")
         )
-    return tuple(sorted(svars + extra, key=var_key))
+    return tuple(sorted(svars + [cands[i] for i in extra], key=var_key))
 
 
 def cluster_geq(q: Quiver, s, t) -> bool:
@@ -317,6 +329,13 @@ class ClusterPoset:
         return len(self.elements)
 
 
+def cover_pairs(leq) -> tuple[tuple[int, int], ...]:
+    """Cover pairs (i, j), i covered by j, of an order matrix: i < j with
+    nothing strictly between.  Boolean products are exact at any size."""
+    lt = np.asarray(leq, dtype=bool) & ~np.eye(len(leq), dtype=bool)
+    return tuple((int(i), int(j)) for i, j in np.argwhere(lt & ~(lt @ lt)))
+
+
 def assemble_poset(elements, leq, complete: bool, height_bound) -> ClusterPoset:
     """Verify the order axioms on a relation matrix and package the poset.
 
@@ -340,19 +359,13 @@ def assemble_poset(elements, leq, complete: bool, height_bound) -> ClusterPoset:
                 f"antisymmetry fails: elements {i} and {j} compare both ways",
                 pair=(i, j),
             )
-        closure = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-        gap = closure & ~leq
+        gap = (leq @ leq) & ~leq
         if gap.any():
             i, j = map(int, np.argwhere(gap)[0])
             raise NotAPartialOrder(
                 f"transitivity fails: a path joins {i} to {j} but leq does not",
                 pair=(i, j),
             )
-    eye = np.eye(m, dtype=bool)
-    lt = leq & ~eye
-    two_step = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-    hasse_mat = lt & ~two_step
-    hasse = tuple((int(i), int(j)) for i, j in np.argwhere(hasse_mat))
     bottoms = np.flatnonzero(leq.all(axis=1)) if m else []
     tops = np.flatnonzero(leq.all(axis=0)) if m else []
     leq = leq.copy()
@@ -360,7 +373,7 @@ def assemble_poset(elements, leq, complete: bool, height_bound) -> ClusterPoset:
     return ClusterPoset(
         elements=tuple(elements),
         leq=leq,
-        hasse=hasse,
+        hasse=cover_pairs(leq),
         top=int(tops[0]) if len(tops) else None,
         bottom=int(bottoms[0]) if len(bottoms) else None,
         complete=complete,
@@ -371,11 +384,23 @@ def assemble_poset(elements, leq, complete: bool, height_bound) -> ClusterPoset:
 def cluster_poset(
     q: Quiver, bound: int | None = None, seed: int = 0, budget: int = 8
 ) -> ClusterPoset:
-    """All clusters under the cluster order, with verified axioms."""
-    enum = enumerate_clusters(q, bound=bound, seed=seed, budget=budget)
-    m = len(enum.items)
-    leq = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            leq[i, j] = cluster_geq(q, enum.items[j], enum.items[i])
-    return assemble_poset(enum.items, leq, enum.complete, enum.height_bound)
+    """All clusters under the cluster order, with verified axioms.
+
+    The order of ``cluster_geq`` for every pair at once: with ``nz[a, b]``
+    saying e(a, b) != 0 on positive variables, and P, N the membership
+    matrices of clusters in the positive and negative variables, s >= t
+    exactly when (P nz P^T)[s, t] and (N (not N)^T)[s, t] are both false.
+    """
+    variables, complete, found = _clusters(q, bound, seed, budget)
+    members = np.zeros((len(found), len(variables)), dtype=bool)
+    for row, c in zip(members, found):
+        row[list(c)] = True
+    positive = np.array([all(a >= 0 for a in v) for v in variables], dtype=bool)
+    roots = [v for v, p in zip(variables, positive) if p]
+    nz = np.array(
+        [[e_invariant(q, a, b) != 0 for b in roots] for a in roots], dtype=bool
+    )
+    pos, neg = members[:, positive], members[:, ~positive]
+    geq = ~(pos @ nz @ pos.T) & ~(neg @ ~neg.T)
+    items = tuple(tuple(variables[i] for i in c) for c in found)
+    return assemble_poset(items, geq.T, complete, bound)

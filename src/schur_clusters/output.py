@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 
 from .clusters import format_variable, neg_vertex
-from .errors import ParseError, UnsupportedFormat
+from .errors import ParseError
 from .quiver import DimVec
 
 
@@ -78,22 +78,3 @@ def emit_dot(labels, edges, name: str = "poset") -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def emit(payload, fmt: str) -> str:
-    """Generic emitter used by the CLI.
-
-    json accepts anything JSON-serializable; tsv wants an iterable of rows;
-    dot wants a dict with 'labels' and 'edges'.  Anything else raises
-    UnsupportedFormat.
-    """
-    if fmt == "json":
-        return emit_json(payload)
-    if fmt == "tsv":
-        if isinstance(payload, (list, tuple)):
-            return emit_tsv(payload)
-        raise UnsupportedFormat(f"tsv needs rows, got {type(payload).__name__}")
-    if fmt == "dot":
-        if isinstance(payload, dict) and "labels" in payload and "edges" in payload:
-            return emit_dot(payload["labels"], payload["edges"])
-        raise UnsupportedFormat("dot output is only defined for posets")
-    raise UnsupportedFormat(f"unknown format {fmt!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import ClusterPoset, cluster_poset, format_variable
+from .clusters import ClusterPoset, cluster_poset, cover_pairs, format_variable
 from .errors import (
     BadIndex,
     LimitExceeded,
@@ -116,9 +116,7 @@ def as_finite_poset(cp: ClusterPoset) -> FinitePoset:
 
 def covers_of(p: FinitePoset) -> tuple[tuple[int, int], ...]:
     """Cover pairs (i, j), i covered by j: the transitive reduction."""
-    lt = p.leq & ~np.eye(p.n, dtype=bool)
-    two = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-    return tuple((int(i), int(j)) for i, j in np.argwhere(lt & ~two))
+    return cover_pairs(p.leq)
 
 
 def is_monotone(f, p: FinitePoset, l: FinitePoset) -> bool:

@@ -76,29 +76,7 @@ class Quiver:
                     f"arrow ({s}, {t}) out of range for {self.n} vertices",
                     arrow=(s, t),
                 )
-        self._check_acyclic()
-
-    def _check_acyclic(self):
-        indeg = [0] * (self.n + 1)
-        out = [[] for _ in range(self.n + 1)]
-        for s, t in self.arrows:
-            out[s].append(t)
-            indeg[t] += 1
-        queue = [v for v in range(1, self.n + 1) if indeg[v] == 0]
-        order = []
-        while queue:
-            v = queue.pop()
-            order.append(v)
-            for w in out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(order) != self.n:
-            stuck = sorted(v for v in range(1, self.n + 1) if indeg[v] > 0)
-            raise CycleDetected(
-                f"quiver contains an oriented cycle through vertices {stuck}",
-                vertices=stuck,
-            )
+        self.topological_order  # raises CycleDetected on an oriented cycle
 
     @cached_property
     def topological_order(self) -> tuple[int, ...]:
@@ -119,6 +97,12 @@ class Quiver:
                 if indeg[w] == 0:
                     fresh.append(w)
             ready = sorted(ready + fresh)
+        if len(order) != self.n:
+            stuck = sorted(v for v in range(1, self.n + 1) if indeg[v] > 0)
+            raise CycleDetected(
+                f"quiver contains an oriented cycle through vertices {stuck}",
+                vertices=stuck,
+            )
         return tuple(order)
 
     @cached_property

@@ -111,8 +111,12 @@ def test_criterion_3_cluster_counts():
     reason="stretch target; set SCHUR_CLUSTERS_LARGE=1 to run",
 )
 def test_criterion_3_stretch_e6():
-    with criterion(3, "stretch: rank-6 count", 300.0):
+    with criterion(3, "stretch: rank-6 count and poset", 300.0):
         assert len(enumerate_clusters(E6).items) == 833
+        cp = cluster_poset(E6)
+        assert len(cp.elements) == 833
+        # Every cluster has n mutations, each one a Hasse edge: 833 * 6 / 2.
+        assert len(cp.hasse) == 2499
 
 
 def test_criterion_4_structural_invariants():
@@ -130,7 +134,7 @@ def test_criterion_4_structural_invariants():
             assert leq.diagonal().all()
             sym = leq & leq.T
             assert sym.sum() == m  # antisymmetry: only the diagonal
-            closure = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
+            closure = leq @ leq
             assert not (closure & ~leq).any()  # transitivity
             tops = np.flatnonzero(leq.all(axis=0))
             bottoms = np.flatnonzero(leq.all(axis=1))

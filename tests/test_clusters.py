@@ -247,8 +247,16 @@ class TestClusterPoset:
         cp = cluster_poset(d4)
         leq = np.asarray(cp.leq)
         assert (leq & leq.T).sum() == len(cp.elements)  # antisymmetry
-        closure = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
+        closure = leq @ leq
         assert not (closure & ~leq).any()  # transitivity
+
+    def test_matrix_order_matches_pairwise_definition(self, a3, a3alt, d4, kronecker):
+        for q, bound in ((a3, None), (a3alt, None), (d4, None), (kronecker, 7)):
+            cp = cluster_poset(q, bound=bound)
+            els = cp.elements
+            for i, s in enumerate(els):
+                for j, t in enumerate(els):
+                    assert bool(cp.leq[i, j]) == cluster_leq(q, s, t), (q.arrows, s, t)
 
     def test_kronecker_bounded_poset(self, kronecker):
         cp = cluster_poset(kronecker, bound=7)
@@ -277,6 +285,20 @@ class TestAssembleGuards:
         leq = np.ones((2, 2), dtype=bool)  # a <= b and b <= a
         with pytest.raises(errors.NotAPartialOrder):
             assemble_poset([("a",), ("b",)], leq, complete=True, height_bound=None)
+
+    def test_intransitive_relation_with_many_paths_rejected(self):
+        from schur_clusters.clusters import assemble_poset
+
+        # 0 <= k <= 257 for all 256 middle elements, but not 0 <= 257.
+        m = 258
+        leq = np.eye(m, dtype=bool)
+        leq[0, 1:-1] = True
+        leq[1:-1, -1] = True
+        with pytest.raises(errors.NotAPartialOrder) as info:
+            assemble_poset(
+                [(k,) for k in range(m)], leq, complete=True, height_bound=None
+            )
+        assert info.value.info["pair"] == (0, m - 1)
 
 
 class TestOrientationCovariance:

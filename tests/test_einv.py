@@ -18,7 +18,7 @@ from schur_clusters import (
     positive_real_roots,
     real_schur_roots,
 )
-from schur_clusters.einv import derived_seed
+from schur_clusters.einv import _MEMOS, derived_seed
 
 
 class TestBaseCases:
@@ -120,6 +120,9 @@ class TestFormulaAgreement:
 class TestMemo:
     def test_stats_grow_and_hit(self):
         q = Quiver(2, [(1, 2), (1, 2), (1, 2)])
+        # The memo is process-global; start cold even if a random example
+        # of another test has already filled it for this quiver.
+        _MEMOS.pop(q, None)
         before = e_cache_stats(q)["pairs"]
         e_invariant(q, (2, 2), (2, 2))
         mid = e_cache_stats(q)

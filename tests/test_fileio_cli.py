@@ -1,6 +1,8 @@
 """Text formats, JSON emission, and the command line front end."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from schur_clusters.fileio import (
     parse_quiver_text,
 )
 from schur_clusters.output import (
-    emit,
     emit_dot,
     emit_json,
     emit_tsv,
@@ -106,13 +107,6 @@ class TestOutputHelpers:
     def test_emit_dot_escapes_quotes(self):
         out = emit_dot(['say "hi"'], [])
         assert '\\"hi\\"' in out
-
-    def test_emit_dispatch(self):
-        assert emit({"a": 1}, "json").startswith("{")
-        with pytest.raises(errors.UnsupportedFormat):
-            emit({"a": 1}, "tsv")
-        with pytest.raises(errors.UnsupportedFormat):
-            emit([1], "yaml")
 
 
 @pytest.fixture
@@ -219,6 +213,11 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["complete"] is False
         assert [1, 2] in payload["roots"]
+
+    def test_cli_import_does_not_load_networkx(self):
+        code = "import schur_clusters.cli, sys; assert 'networkx' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
 
     def test_same_process_determinism(self, capsys, quiver_file, d4):
         path = quiver_file("d4.quiver", d4)

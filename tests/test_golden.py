@@ -1,0 +1,73 @@
+"""Golden CLI outputs: stdout must stay byte-identical across refactors.
+
+The fixtures under ``tests/golden/`` hold the stdout of the invocations
+below: criterion 8's determinism set plus the all-preclusters path on D4
+and the incomplete (height-bounded) poset on the Kronecker quiver.  After
+an intended output change, regenerate them with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _in(name: str) -> str:
+    return str(GOLDEN / name)
+
+
+A2_VARS = '[{"type":"root","dim":[1,1]},{"type":"root","dim":[0,1]}]'
+
+INVOCATIONS = {
+    "roots-d4.json": ["roots", "--quiver", _in("d4.quiver")],
+    "roots-kron-b7.tsv": [
+        "roots", "--quiver", _in("kron.quiver"), "--bound", "7", "--format", "tsv"
+    ],
+    "schur-kron-b7-s3.json": [
+        "schur", "--quiver", _in("kron.quiver"), "--bound", "7", "--seed", "3"
+    ],
+    "einv-wild.json": [
+        "einv", "--quiver", _in("wild.quiver"), "--x", "1,1,1", "--y", "2,1,0"
+    ],
+    "preclusters-a2-positive.json": [
+        "preclusters", "--quiver", _in("a2.quiver"), "--positive-only"
+    ],
+    "clusters-a3.json": ["clusters", "--quiver", _in("a3.quiver")],
+    "poset-d4.json": ["poset", "--quiver", _in("d4.quiver")],
+    "poset-a2.dot": ["poset", "--quiver", _in("a2.quiver"), "--format", "dot"],
+    "stilt-a3-s11.json": ["stilt", "--quiver", _in("a3.quiver"), "--seed", "11"],
+    "verify-a2.json": ["verify", "--quiver", _in("a2.quiver"), "--format", "json"],
+    "torsion-count-a2.txt": [
+        "torsion-count", "--quiver", _in("a2.quiver"), "--poset", _in("p.poset")
+    ],
+    "realize-a2.json": ["realize", "--quiver", _in("a2.quiver"), "--vars", A2_VARS],
+    "preclusters-d4.json": ["preclusters", "--quiver", _in("d4.quiver")],
+    "poset-kron-b7.json": ["poset", "--quiver", _in("kron.quiver"), "--bound", "7"],
+}
+
+
+def run_cli(argv) -> bytes:
+    """Stdout of one CLI call in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "schur_clusters", *argv],
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, (argv, proc.stderr.decode())
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_cli_stdout_matches_golden(name):
+    expected = (GOLDEN / name).read_bytes()
+    assert run_cli(INVOCATIONS[name]) == expected, name
+
+
+if __name__ == "__main__":
+    for name, argv in INVOCATIONS.items():
+        (GOLDEN / name).write_bytes(run_cli(argv))

@@ -78,6 +78,11 @@ class TestBuild:
         p = build_poset(4, covers=[(0, 1), (1, 2), (1, 3)])
         assert sorted(covers_of(p)) == [(0, 1), (1, 2), (1, 3)]
 
+    def test_covers_of_long_chain(self):
+        # 256 elements lie strictly between the ends: a path count kept in
+        # uint8 wraps to 0 there and would report the ends as a cover.
+        assert covers_of(chain(258)) == tuple((i, i + 1) for i in range(257))
+
 
 class TestMonotone:
     def test_is_monotone(self):

@@ -40,6 +40,10 @@ class TestConstruction:
             Quiver(1, [(1, 1)])
         with pytest.raises(errors.CycleDetected):
             Quiver(3, [(1, 2), (2, 3), (3, 1)])
+        with pytest.raises(errors.CycleDetected) as info:
+            Quiver(4, [(1, 2), (2, 3), (3, 1), (3, 4)])
+        assert info.value.info["vertices"] == [1, 2, 3, 4]
+        assert "oriented cycle through vertices [1, 2, 3, 4]" in str(info.value)
 
     def test_rejects_nonpositive_size(self):
         with pytest.raises(errors.BadIndex):
