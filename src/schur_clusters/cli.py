@@ -4,8 +4,9 @@ Commands read quivers (and posets) from small text files and write
 deterministic JSON, TSV or DOT to stdout.  Exit codes: 0 on success, 1 when
 a well-formed request cannot be satisfied (domain errors such as a missing
 height bound, non-Dynkin input to an exact-only command, probe exhaustion,
-or a failed verification), 2 on unusable input (bad flags, malformed files
-or inline JSON).
+a non-precluster given to ``realize``, or a failed verification), 2 on
+unusable input (bad flags, malformed files or inline JSON), 3 when an
+internal invariant check fails (one ``error[internal]`` line, no traceback).
 """
 
 from __future__ import annotations
@@ -155,7 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("torsion-count", help="monotone maps into the cluster poset")
     _add_quiver(p)
     p.add_argument("--poset", required=True, metavar="FILE", help="poset text file")
-    p.add_argument("--method", choices=["auto", "dp", "backtrack"], default="auto")
+    p.add_argument(
+        "--method",
+        choices=["auto", "dp", "backtrack"],
+        default="auto",
+        help="auto and dp run the cover-frontier dynamic program; backtrack "
+        "runs the plain search kept as its cross-check (default auto)",
+    )
     _add_format(p, ["text", "json"], "text")
 
     p = sub.add_parser("realize", help="attach verified modules to a precluster")
@@ -530,6 +537,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error[internal]: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(text)
     return code
 

@@ -56,6 +56,10 @@ class CompletionNotFound(SchurClustersError):
     code = "completion-not-found"
 
 
+class NotAPrecluster(SchurClustersError):
+    code = "not-a-precluster"
+
+
 class NotAPartialOrder(SchurClustersError):
     code = "not-a-partial-order"
 

@@ -19,7 +19,14 @@ from functools import lru_cache
 import numpy as np
 
 from .einv import derived_seed
-from .errors import DimensionMismatch, NegativeExt, NotDynkin, ProbeExhausted, SizeMismatch
+from .errors import (
+    DimensionMismatch,
+    NegativeExt,
+    NotAPrecluster,
+    NotDynkin,
+    ProbeExhausted,
+    SizeMismatch,
+)
 from .linalg import nullspace, rank
 from .quiver import DimVec, Quiver, euler_form, support, tits_form
 
@@ -208,7 +215,7 @@ def realize_cluster(q: Quiver, s, seed: int = 0, budget: int = 8) -> ModuleList:
     svars = sorted({q.check_dimvec(v, allow_negative=True) for v in s}, key=var_key)
     ok, why = is_precluster(q, svars)
     if not ok:
-        raise ValueError(f"not a precluster: {why}")
+        raise NotAPrecluster(f"not a precluster: {why}", reason=why)
     items = []
     for v in svars:
         if any(a < 0 for a in v):

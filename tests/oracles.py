@@ -92,6 +92,21 @@ def monotone_maps_bruteforce(p_leq, l_leq) -> int:
     return count
 
 
+def multichains_oracle(l_leq, k: int) -> int:
+    """Monotone maps chain(k) -> L, i.e. multichains x1 <= ... <= xk in L.
+
+    Closed form 1^T Z^(k-1) 1 with Z the zeta matrix of L, evaluated as
+    repeated exact-int matrix-vector products; uses no counting search.
+    """
+    if k == 0:
+        return 1
+    n = len(l_leq)
+    vec = [1] * n
+    for _ in range(k - 1):
+        vec = [sum(vec[j] for j in range(n) if l_leq[i][j]) for i in range(n)]
+    return sum(vec)
+
+
 def random_poset_matrix(rng, n: int) -> list[list[bool]]:
     """Random poset on 0..n-1 as a reflexive-transitive leq matrix.
 

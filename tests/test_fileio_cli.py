@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from schur_clusters import errors
+from schur_clusters import cli, errors
 from schur_clusters.cli import main
 from schur_clusters.fileio import (
     emit_poset_text,
@@ -201,6 +201,25 @@ class TestCli:
         assert len(payload["modules"]) == 2
         dims = [m["dims"] for m in payload["modules"]]
         assert dims == [[0, 0], [0, 1]]
+
+    def test_realize_non_precluster_exits_1(self, capsys, quiver_file, a2):
+        path = quiver_file("a2.quiver", a2)
+        vars_json = json.dumps(
+            [{"type": "root", "dim": [1, 0]}, {"type": "root", "dim": [0, 1]}]
+        )
+        assert main(["realize", "--quiver", path, "--vars", vars_json]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[not-a-precluster]: ")
+
+    def test_internal_error_exits_3_on_one_line(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("internal error: invariant broken")
+
+        monkeypatch.setitem(cli._COMMANDS, "roots", broken)
+        assert main(["roots", "--quiver", "unused.quiver"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error[internal]: internal error: invariant broken\n"
 
     def test_bad_vars_json_exits_2(self, capsys, quiver_file, a2):
         path = quiver_file("a2.quiver", a2)

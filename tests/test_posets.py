@@ -1,6 +1,8 @@
 """Finite posets, monotone map counting, torsion class counts."""
 
+import os
 import random
+from math import factorial
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schur_clusters import (
+    Quiver,
     antichain,
     as_finite_poset,
     build_poset,
@@ -22,7 +25,11 @@ from schur_clusters import (
     torsion_class_count,
 )
 
-from oracles import monotone_maps_bruteforce, random_poset_matrix
+from oracles import (
+    monotone_maps_bruteforce,
+    multichains_oracle,
+    random_poset_matrix,
+)
 
 
 def brute(p, l):
@@ -33,6 +40,35 @@ def brute(p, l):
 
 def rand_poset(rng, n):
     return build_poset(n, relation=np.array(random_poset_matrix(rng, n)))
+
+
+def rand_shuffled_poset(rng, sizes):
+    """Disjoint union of random posets of the given sizes, relabelled by a
+    random permutation, so that 0, 1, ... need not be a linear extension."""
+    n = sum(sizes)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = []
+    base = 0
+    for k in sizes:
+        leq = random_poset_matrix(rng, k)
+        pairs += [
+            (perm[base + i], perm[base + j])
+            for i in range(k)
+            for j in range(k)
+            if leq[i][j]
+        ]
+        base += k
+    return build_poset(n, relation=pairs)
+
+
+def zeta(l):
+    return np.asarray(l.leq).tolist()
+
+
+def tamari_intervals(k):
+    """Chapoton's count of intervals in the Tamari lattice on Catalan(k) trees."""
+    return 2 * factorial(4 * k + 1) // (factorial(k + 1) * factorial(3 * k + 2))
 
 
 class TestBuild:
@@ -118,11 +154,17 @@ class TestMonotone:
             assert count_monotone_maps(p, l) == expected
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**30), st.integers(2, 5))
-    def test_dp_equals_backtracking(self, seed, size):
+    @given(
+        st.integers(min_value=0, max_value=2**30),
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.integers(0, 7),
+    )
+    def test_dp_equals_backtracking(self, seed, size, split, codomain):
         rng = random.Random(seed)
-        p = rand_poset(rng, size)
-        l = rand_poset(rng, 4)
+        split = min(split, size)
+        p = rand_shuffled_poset(rng, (split, size - split))
+        l = rand_shuffled_poset(rng, (codomain,))
         assert count_monotone_maps(p, l, method="dp") == count_monotone_maps(
             p, l, method="backtrack"
         )
@@ -143,6 +185,43 @@ class TestMonotone:
         c3 = chain(3)
         assert map_poset_leq((0, 0, 1), (0, 1, 2), c3, c3)
         assert not map_poset_leq((0, 1, 2), (0, 0, 1), c3, c3)
+
+
+class TestClosedForms:
+    """Counts checked against closed forms that run no counting search."""
+
+    def test_chains_count_multichains(self, a4, d4):
+        for q in (a4, d4):
+            target = as_finite_poset(cluster_poset(q))
+            for k in range(9):
+                expected = multichains_oracle(zeta(target), k)
+                assert count_monotone_maps(chain(k), target) == expected
+        a4_target = as_finite_poset(cluster_poset(a4))
+        assert count_monotone_maps(chain(8), a4_target) == 429478
+
+    def test_linear_a_chain2_counts_tamari_intervals(self):
+        counts = []
+        for n in range(1, 6):
+            q = Quiver(n, [(i, i + 1) for i in range(1, n)])
+            target = as_finite_poset(cluster_poset(q))
+            counts.append(count_monotone_maps(chain(2), target))
+            assert counts[-1] == tamari_intervals(n + 1)
+        assert counts == [3, 13, 68, 399, 2530]
+
+    def test_antichains_count_all_functions(self, a4, d4):
+        for q in (a4, d4):
+            target = as_finite_poset(cluster_poset(q))
+            for k in range(4):
+                assert count_monotone_maps(antichain(k), target) == target.n**k
+
+    @pytest.mark.skipif(
+        not os.environ.get("SCHUR_CLUSTERS_LARGE"),
+        reason="stretch target; set SCHUR_CLUSTERS_LARGE=1 to run",
+    )
+    def test_e6_chain3_stretch(self, e6):
+        target = as_finite_poset(cluster_poset(e6))
+        assert torsion_class_count(e6, chain(3)) == 3532853
+        assert multichains_oracle(zeta(target), 3) == 3532853
 
 
 class TestTorsionCounts:

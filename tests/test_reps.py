@@ -159,11 +159,11 @@ class TestRealize:
         assert by_label[(0, 1)].dims == (0, 1)
 
     def test_rejects_non_precluster(self, a2):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.NotAPrecluster):
             realize_cluster(a2, [(1, 0), (0, 1)])  # E((1,0),(0,1)) = 1
 
     def test_rejects_support_clash(self, a2):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.NotAPrecluster):
             realize_cluster(a2, [(0, -1), (1, 1)])
 
     def test_positives_of_clusters_are_support_tilting(self, a3):
