@@ -20,11 +20,14 @@ from . import clusters as cl
 from . import einv, fileio, output, posets, reps
 from .errors import (
     LimitExceeded,
+    NotAPrecluster,
     ParseError,
+    ProbeExhausted,
     SchurClustersError,
     UnsupportedFormat,
 )
 from .quiver import (
+    euler_form,
     positive_real_roots,
     projective_dimension_vectors,
     tits_form,
@@ -345,9 +348,17 @@ def cmd_realize(args):
             check = einv.is_real_schur_root(
                 q, v, mode="auto", seed=args.seed, budget=args.probe_budget
             )
+            if check.reason == "probe-exhausted":
+                raise ProbeExhausted(
+                    f"probe budget {args.probe_budget} exhausted on {v}; "
+                    "raise the budget",
+                    vectors=[v],
+                    budget=args.probe_budget,
+                )
             if not check.ok:
-                raise ValueError(
-                    f"{v} is not a verified real Schur root ({check.reason})"
+                raise NotAPrecluster(
+                    f"{v} is not a verified real Schur root ({check.reason})",
+                    reason=check.reason,
                 )
     ml = reps.realize_cluster(q, svars, seed=args.seed, budget=args.probe_budget)
     payload = {
@@ -364,6 +375,8 @@ def cmd_realize(args):
 
 
 def _verification_checks(q, args):
+    """The checks as (name, ok, detail) triples; ok is None for a check
+    skipped because its input is too large."""
     checks = []
 
     box = args.box
@@ -401,12 +414,35 @@ def _verification_checks(q, args):
             ok = grid == set(rs.roots)
             detail = f"{len(rs.roots)} roots match the unit Tits locus"
         else:
-            ok, detail = True, "skipped: grid too large"
+            ok, detail = None, f"grid of {space} vectors exceeds 300000"
     else:
         rs = positive_real_roots(q, args.bound)
         ok = all(tits_form(q, r) == 1 for r in rs.roots)
         detail = f"{len(rs.roots)} bounded roots all have Tits form 1"
     checks.append(("roots-closure", ok, detail))
+
+    if q.is_dynkin:
+        # e(a, b) = max(0, -<a, b>) on positive roots of a Dynkin quiver is
+        # what einv.e_nonzero and the cluster layer rely on.
+        bad = next(
+            (
+                (a, b)
+                for a in rs.roots
+                for b in rs.roots
+                if max(0, -euler_form(q, a, b)) != einv.e_invariant(q, a, b)
+            ),
+            None,
+        )
+        pairs = len(rs.roots) ** 2
+        checks.append(
+            (
+                "e-closed-form",
+                bad is None,
+                f"max(0, -<a, b>) equals e(a, b) on {pairs} root pairs"
+                if bad is None
+                else f"mismatch at {bad}",
+            )
+        )
 
     variables = cl.cluster_variables(q, args.bound, args.seed, args.probe_budget)
     if len(variables) <= 22:
@@ -419,7 +455,12 @@ def _verification_checks(q, args):
     else:
         enum = cl.enumerate_clusters(q, args.bound, args.seed, args.probe_budget)
         checks.append(
-            ("cluster-count", True, f"{len(enum.items)} clusters (subset scan skipped)")
+            (
+                "cluster-count",
+                None,
+                f"{len(enum.items)} clusters; subset scan not run on "
+                f"{len(variables)} > 22 variables",
+            )
         )
 
     try:
@@ -474,27 +515,33 @@ def _verification_checks(q, args):
                     else f"no completion for {failed}",
                 )
             )
+        else:
+            checks.append(
+                (
+                    "precluster-extension",
+                    None,
+                    f"not run on {len(variables)} > 22 variables",
+                )
+            )
     return checks
 
 
 def cmd_verify(args):
     q = fileio.parse_quiver_file(args.quiver)
     checks = _verification_checks(q, args)
-    all_ok = all(ok for _, ok, _ in checks)
+    all_ok = all(ok is not False for _, ok, _ in checks)
     code = 0 if all_ok else 1
     if args.format == "json":
-        payload = {
-            "meta": _meta(args),
-            "ok": all_ok,
-            "checks": [
-                {"name": name, "ok": ok, "detail": detail}
-                for name, ok, detail in checks
-            ],
-        }
+        entries = []
+        for name, ok, detail in checks:
+            entry = {"name": name, "ok": ok, "detail": detail}
+            if ok is None:
+                entry["skipped"] = True
+            entries.append(entry)
+        payload = {"meta": _meta(args), "ok": all_ok, "checks": entries}
         return output.emit_json(payload), code
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks
-    ]
+    status = {True: "PASS", False: "FAIL", None: "SKIP"}
+    lines = [f"{status[ok]} {name}: {detail}" for name, ok, detail in checks]
     lines.append("ok" if all_ok else "FAILED")
     return "\n".join(lines) + "\n", code
 

@@ -10,9 +10,14 @@ asserts rather than assumes.
 
 Enumeration runs over the compatibility graph on variable indices in
 canonical order: preclusters are its cliques, clusters its maximal cliques.
-The cluster order is computed for all pairs at once from one matrix of
-nonvanishing extension invariants.  A naive subset-scan oracle is kept
-alongside for cross-validation.
+The graph and the cluster order both come from one matrix of nonvanishing
+extension invariants, built once per call by ``einv.e_nonzero``.  On a
+Dynkin quiver that matrix is the closed form <a, b> < 0 on positive roots
+(Ringel 1984; Marsh-Reineke-Zelevinsky 2003), one product R E R^T; on
+other quivers it is filled from the recursion.  The per-pair predicates
+(``compatible``, ``is_precluster``, ``cluster_geq``) keep calling the
+recursion, and a naive subset-scan oracle is kept alongside for
+cross-validation.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .einv import e_invariant, real_schur_roots
-from .errors import BadIndex, CompletionNotFound, NotAPartialOrder
+from .einv import e_invariant, e_nonzero, real_schur_roots
+from .errors import BadIndex, CompletionNotFound, NotAPartialOrder, NotAPrecluster
 from .quiver import DimVec, Quiver, support, tits_form, unit
 
 
@@ -166,20 +171,42 @@ class Enumeration:
         return x in self.items
 
 
-def _cliques(q: Quiver, variables):
-    """Every clique of the compatibility graph on ``variables``, empty one first.
+def _compat_matrix(q: Quiver, variables):
+    """The compatibility matrix of ``variables`` and its E matrix.
+
+    Returns ``(compat, nz)``, both V x V boolean.  ``nz[a, b]`` says
+    e(a, b) != 0 for positive a and b and is False wherever a negative
+    simple takes part.  ``compat`` agrees with ``compatible`` off the
+    diagonal and is False on it: positive pairs need nz false both ways, a
+    negative simple -e_i and a positive v need v_i = 0, and two negative
+    simples always go together.
+    """
+    m = len(variables)
+    vecs = np.array(variables, dtype=np.int64).reshape(m, q.n)
+    positive = (vecs >= 0).all(axis=1)
+    nz = np.zeros((m, m), dtype=bool)
+    nz[np.ix_(positive, positive)] = e_nonzero(q, vecs[positive])
+    # meets[u, v]: u is some -e_i and v is positive with v_i != 0.
+    meets = np.maximum(-vecs, 0) @ np.maximum(vecs, 0).T != 0
+    compat = ~(nz | nz.T | meets | meets.T)
+    np.fill_diagonal(compat, False)
+    return compat, nz
+
+
+def _cliques(compat):
+    """Every clique of the graph with adjacency matrix ``compat``, empty one
+    first.
 
     Yields ``(indices, maximal)`` with ``indices`` an increasing index tuple.
     The search is a depth-first walk over int-bitset neighbour rows built
-    once from ``compatible``; extending only by larger indices makes the
-    walk visit cliques in lexicographic order.  A clique is maximal when no
-    variable is compatible with all of its members.
+    once from the matrix; extending only by larger indices makes the walk
+    visit cliques in lexicographic order.  A clique is maximal when no
+    vertex is adjacent to all of its members.
     """
-    rows = [0] * len(variables)
-    for i, j in combinations(range(len(variables)), 2):
-        if compatible(q, variables[i], variables[j]):
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+    rows = [
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        for row in compat
+    ]
 
     def walk(clique, common, ahead):
         # common: variables compatible with every member; ahead: those of
@@ -191,16 +218,18 @@ def _cliques(q: Quiver, variables):
             j = low.bit_length() - 1
             yield from walk(clique + (j,), common & rows[j], ahead & rows[j])
 
-    everyone = (1 << len(variables)) - 1
+    everyone = (1 << len(rows)) - 1
     yield from walk((), everyone, everyone)
 
 
 def _clusters(q: Quiver, bound, seed, budget):
-    """The variables, their completeness flag, and every cluster as an
-    increasing index tuple into the variables, in lexicographic order."""
+    """The variables, their completeness flag, every cluster as an
+    increasing index tuple into the variables in lexicographic order, and
+    the variables' E matrix ``nz`` from ``_compat_matrix``."""
     variables, complete = _variables(q, bound, seed, budget)
+    compat, nz = _compat_matrix(q, variables)
     found = []
-    for clique, maximal in _cliques(q, variables):
+    for clique, maximal in _cliques(compat):
         if len(clique) > q.n:
             raise RuntimeError(
                 f"internal error: {len(clique)} pairwise compatible variables "
@@ -213,7 +242,7 @@ def _clusters(q: Quiver, bound, seed, budget):
             )
         if maximal and len(clique) == q.n:
             found.append(clique)
-    return variables, complete, found
+    return variables, complete, found, nz
 
 
 def enumerate_clusters(
@@ -225,7 +254,7 @@ def enumerate_clusters(
     variable set every maximal clique must have exactly n members (maximal
     preclusters are clusters); that fact is asserted at runtime.
     """
-    variables, complete, found = _clusters(q, bound, seed, budget)
+    variables, complete, found, _ = _clusters(q, bound, seed, budget)
     items = tuple(tuple(variables[i] for i in c) for c in found)
     return Enumeration(items, complete, bound)
 
@@ -254,7 +283,8 @@ def enumerate_preclusters(
     variables, complete = _variables(q, bound, seed, budget)
     if positive_only:
         variables = tuple(v for v in variables if all(a >= 0 for a in v))
-    cliques = sorted((c for c, _ in _cliques(q, variables)), key=lambda c: (len(c), c))
+    compat, _ = _compat_matrix(q, variables)
+    cliques = sorted((c for c, _ in _cliques(compat)), key=lambda c: (len(c), c))
     items = tuple(tuple(variables[i] for i in c) for c in cliques)
     return Enumeration(items, complete, bound)
 
@@ -271,7 +301,7 @@ def complete_to_cluster(
     svars = sorted({q.check_dimvec(v, allow_negative=True) for v in s}, key=var_key)
     ok, why = is_precluster(q, svars)
     if not ok:
-        raise ValueError(f"not a precluster: {why}")
+        raise NotAPrecluster(f"not a precluster: {why}", reason=why)
     if len(svars) == q.n:
         return tuple(svars)
     variables, _ = _variables(q, bound, seed, budget)
@@ -284,7 +314,8 @@ def complete_to_cluster(
     need = q.n - len(svars)
     # Lexicographic order on the extensions is that on the completed
     # clusters, so the first clique of the right size is the least one.
-    extra = next((c for c, _ in _cliques(q, cands) if len(c) == need), None)
+    compat, _ = _compat_matrix(q, cands)
+    extra = next((c for c, _ in _cliques(compat) if len(c) == need), None)
     if extra is None:
         raise CompletionNotFound(
             f"no cluster contains {svars}"
@@ -387,20 +418,17 @@ def cluster_poset(
     """All clusters under the cluster order, with verified axioms.
 
     The order of ``cluster_geq`` for every pair at once: with ``nz[a, b]``
-    saying e(a, b) != 0 on positive variables, and P, N the membership
-    matrices of clusters in the positive and negative variables, s >= t
-    exactly when (P nz P^T)[s, t] and (N (not N)^T)[s, t] are both false.
+    saying e(a, b) != 0 on positive variables (and false elsewhere), M the
+    membership matrix of clusters in the variables and N its negative
+    columns, s >= t exactly when (M nz M^T)[s, t] and (N (not N)^T)[s, t]
+    are both false.
     """
-    variables, complete, found = _clusters(q, bound, seed, budget)
+    variables, complete, found, nz = _clusters(q, bound, seed, budget)
     members = np.zeros((len(found), len(variables)), dtype=bool)
     for row, c in zip(members, found):
         row[list(c)] = True
-    positive = np.array([all(a >= 0 for a in v) for v in variables], dtype=bool)
-    roots = [v for v, p in zip(variables, positive) if p]
-    nz = np.array(
-        [[e_invariant(q, a, b) != 0 for b in roots] for a in roots], dtype=bool
-    )
-    pos, neg = members[:, positive], members[:, ~positive]
-    geq = ~(pos @ nz @ pos.T) & ~(neg @ ~neg.T)
+    negative = np.array([any(a < 0 for a in v) for v in variables], dtype=bool)
+    neg = members[:, negative]
+    geq = ~(members @ nz @ members.T) & ~(neg @ ~neg.T)
     items = tuple(tuple(variables[i] for i in c) for c in found)
     return assemble_poset(items, geq.T, complete, bound)

@@ -19,6 +19,16 @@ independently so the agreement can be tested.
 Everything is memoized per quiver.  The inner maxima run through numpy
 int64 when a conservative magnitude guard allows it, and fall back to exact
 Python integers otherwise, so no overflow can pass silently.
+
+On a Dynkin quiver the algebra is representation-directed: for
+indecomposables X, Y at most one of Hom(X, Y) and Ext^1(X, Y) is nonzero.
+So on positive roots the invariant has the closed form
+e(a, b) = max(0, -<a, b>) (Ringel, *Tame algebras and integral quadratic
+forms*, LNM 1099, 1984; Marsh-Reineke-Zelevinsky, "Generalized
+associahedra via quiver representations", 2003).  ``e_nonzero`` uses it to
+give E-vanishing on a whole root table as one matrix product.  The
+recursion still runs for every other argument: non-root vectors, every
+non-Dynkin quiver, and ``e_invariant`` itself, which stays the reference.
 """
 
 from __future__ import annotations
@@ -160,6 +170,27 @@ def _e(memo: _Memo, x: DimVec, y: DimVec) -> int:
     val = _pair_max(memo, ax, ay, y)
     memo.pairs[key] = val
     return val
+
+
+def e_nonzero(q: Quiver, roots) -> np.ndarray:
+    """The boolean matrix of e(a, b) != 0 over ``roots`` (rows a, columns b).
+
+    Precondition: ``roots`` are positive real roots from the quiver's root
+    table (for a non-Dynkin quiver, any dimension vectors will do).  On a
+    Dynkin quiver e(a, b) != 0 exactly when <a, b> < 0, so the matrix is
+    R E R^T < 0 with R holding the roots as rows and E the Euler matrix;
+    elsewhere each entry comes from the recursion.
+    """
+    roots = [q.check_dimvec(r) for r in roots]
+    if not q.is_dynkin:
+        return np.array(
+            [[e_invariant(q, a, b) != 0 for b in roots] for a in roots],
+            dtype=bool,
+        ).reshape(len(roots), len(roots))
+    # Dynkin root entries are at most 6 (the highest root of E8), so every
+    # entry of R E R^T is tiny and int64 is exact without a guard.
+    r = np.array(roots, dtype=np.int64).reshape(len(roots), q.n)
+    return r @ np.array(q.euler_matrix, dtype=np.int64) @ r.T < 0
 
 
 def generic_summands(q: Quiver, x) -> tuple[DimVec, ...]:

@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from schur_clusters import Quiver
+
+# pytest's `pythonpath` setting puts src/ on this process's path; the CLI
+# tests start `python -m schur_clusters` in subprocesses, which need it too.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture

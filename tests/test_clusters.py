@@ -1,5 +1,7 @@
 """Preclusters, clusters, completion and the cluster order."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from schur_clusters import (
     cluster_variables,
     compatible,
     complete_to_cluster,
+    e_invariant,
     enumerate_clusters,
     enumerate_clusters_naive,
     enumerate_preclusters,
@@ -22,7 +25,10 @@ from schur_clusters import (
     positive_real_roots,
     projective_dimension_vectors,
 )
-from schur_clusters.clusters import var_key
+from schur_clusters.clusters import _compat_matrix, var_key
+
+E7 = Quiver(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)])
+E8 = Quiver(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)])
 
 
 PENTAGON = [
@@ -99,6 +105,20 @@ class TestPrecluster:
         assert not compatible(a2, (-1, 0), (1, 1))
 
 
+class TestCompatMatrix:
+    def test_matches_pairwise_predicates(self, a3, d4, kronecker, wild):
+        for q, bound in ((a3, None), (d4, None), (kronecker, 7), (wild, 4)):
+            variables = cluster_variables(q, bound=bound)
+            compat, nz = _compat_matrix(q, variables)
+            for i, u in enumerate(variables):
+                for j, v in enumerate(variables):
+                    want = i != j and compatible(q, u, v)
+                    assert bool(compat[i, j]) == want, (q.arrows, u, v)
+                    positive = min(u) >= 0 and min(v) >= 0
+                    want = positive and e_invariant(q, u, v) != 0
+                    assert bool(nz[i, j]) == want, (q.arrows, u, v)
+
+
 class TestEnumeration:
     def test_pentagon_clusters(self, a2):
         enum = enumerate_clusters(a2)
@@ -117,6 +137,17 @@ class TestEnumeration:
     def test_type_a4_and_d4_counts(self, a4, d4):
         assert len(enumerate_clusters(a4).items) == 42
         assert len(enumerate_clusters(d4).items) == 50
+
+    def test_e7_count(self):
+        # Fomin-Zelevinsky: E7 has 4160 clusters.
+        assert len(enumerate_clusters(E7).items) == 4160
+
+    @pytest.mark.skipif(
+        not os.environ.get("SCHUR_CLUSTERS_LARGE"),
+        reason="stretch target; set SCHUR_CLUSTERS_LARGE=1 to run",
+    )
+    def test_e8_count(self):
+        assert len(enumerate_clusters(E8).items) == 25080
 
     def test_every_cluster_has_n_elements(self, a3, d4):
         for q in (a3, d4):
@@ -177,7 +208,7 @@ class TestCompletion:
                 assert len(c) == q.n
 
     def test_rejects_non_precluster(self, a2):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.NotAPrecluster):
             complete_to_cluster(a2, [(1, 0), (0, 1)])
 
     def test_impossible_completion(self, kronecker):

@@ -1,7 +1,10 @@
 """Extension invariant: recursion, one-sided forms, Schur root detection."""
 
+import os
+import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,7 @@ from schur_clusters import (
     positive_real_roots,
     real_schur_roots,
 )
-from schur_clusters.einv import _MEMOS, derived_seed
+from schur_clusters.einv import _MEMOS, derived_seed, e_nonzero
 
 
 class TestBaseCases:
@@ -115,6 +118,73 @@ class TestFormulaAgreement:
         assert e >= 0
         assert e >= -euler_form(q, x, y)
         assert e_invariant_alt(q, x, y) == (e, e)
+
+
+def _edges_a(n):
+    return [(i, i + 1) for i in range(1, n)]
+
+
+def _edges_d(n):
+    return [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)]
+
+
+# E_n: a chain 1..n-1 with vertex n hung off vertex 3.
+def _edges_e(n):
+    return [(i, i + 1) for i in range(1, n - 1)] + [(3, n)]
+
+
+def _orientations(n, edges, count, seed):
+    """The quiver with every edge forward, with every edge reversed, and
+    ``count`` seeded random orientations."""
+    rng = random.Random(seed)
+    flips = [[False] * len(edges), [True] * len(edges)]
+    flips += [[rng.random() < 0.5 for _ in edges] for _ in range(count)]
+    return [
+        Quiver(n, [(t, s) if f else (s, t) for (s, t), f in zip(edges, fs)])
+        for fs in flips
+    ]
+
+
+def _assert_closed_form(q):
+    roots = positive_real_roots(q).roots
+    e = np.array([[e_invariant(q, a, b) for b in roots] for a in roots])
+    closed = np.array([[max(0, -euler_form(q, a, b)) for b in roots] for a in roots])
+    assert (closed == e).all(), q.arrows
+    assert (e_nonzero(q, roots) == (e != 0)).all(), q.arrows
+
+
+DYNKIN_SHAPES = (
+    [(n, _edges_a(n)) for n in range(1, 7)]
+    + [(n, _edges_d(n)) for n in range(4, 7)]
+    + [(6, _edges_e(6))]
+)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n, edges", DYNKIN_SHAPES)
+    def test_matches_recursion_on_every_root_pair(self, n, edges):
+        for q in _orientations(n, edges, count=2, seed=n * 31 + len(edges)):
+            _assert_closed_form(q)
+
+    @pytest.mark.skipif(
+        not os.environ.get("SCHUR_CLUSTERS_LARGE"),
+        reason="stretch target; set SCHUR_CLUSTERS_LARGE=1 to run",
+    )
+    def test_matches_recursion_on_e7(self):
+        for q in _orientations(7, _edges_e(7), count=1, seed=7):
+            _assert_closed_form(q)
+
+    def test_non_dynkin_fills_from_the_recursion(self, kronecker, wild):
+        for q, vecs in (
+            (kronecker, [(1, 0), (0, 1), (1, 2), (2, 1), (2, 3)]),
+            (wild, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (2, 1, 0)]),
+        ):
+            e = np.array([[e_invariant(q, a, b) for b in vecs] for a in vecs])
+            assert (e_nonzero(q, vecs) == (e != 0)).all()
+
+    def test_empty_root_list(self, a2, kronecker):
+        for q in (a2, kronecker):
+            assert e_nonzero(q, []).shape == (0, 0)
 
 
 class TestMemo:

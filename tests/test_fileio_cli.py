@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from schur_clusters import cli, errors
+from schur_clusters import Quiver, cli, errors
 from schur_clusters.cli import main
 from schur_clusters.fileio import (
     emit_poset_text,
@@ -210,6 +210,40 @@ class TestCli:
         assert main(["realize", "--quiver", path, "--vars", vars_json]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[not-a-precluster]: ")
+
+    def test_realize_non_root_exits_1(self, capsys, quiver_file, a2):
+        path = quiver_file("a2.quiver", a2)
+        vars_json = json.dumps([{"type": "root", "dim": [2, 0]}])
+        assert main(["realize", "--quiver", path, "--vars", vars_json]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error[not-a-precluster]: ")
+
+    def test_verify_reports_skipped_checks_as_skip(self, capsys, quiver_file):
+        d5 = Quiver(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
+        path = quiver_file("d5.quiver", d5)
+        assert main(["verify", "--quiver", path, "--box", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "ok"
+        assert any(line.startswith("SKIP cluster-count: ") for line in lines)
+        assert any(line.startswith("SKIP precluster-extension: ") for line in lines)
+        assert not any(line.startswith("FAIL") for line in lines)
+        assert "PASS e-closed-form: max(0, -<a, b>) equals e(a, b) on 400 root pairs" in lines
+
+    def test_verify_json_marks_only_skipped_checks(self, capsys, quiver_file):
+        d5 = Quiver(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
+        path = quiver_file("d5.quiver", d5)
+        argv = ["verify", "--quiver", path, "--box", "0", "--format", "json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True
+        skipped = {c["name"] for c in payload["checks"] if c.get("skipped")}
+        assert skipped == {"cluster-count", "precluster-extension"}
+        for check in payload["checks"]:
+            assert check["ok"] is (None if check["name"] in skipped else True)
+            assert ("skipped" in check) == (check["name"] in skipped)
 
     def test_internal_error_exits_3_on_one_line(self, capsys, monkeypatch):
         def broken(args):
