@@ -1,44 +1,68 @@
 """Small exact linear algebra over the rationals.
 
-Just enough for intertwiner spaces: row reduction with ``Fraction``
-arithmetic, rank, and a right null space basis.  Rows may hold ints or
-Fractions; results are Fractions.
+Just enough for intertwiner spaces: rank and a right null space basis.
+Rows may hold ints or Fractions; results are Fractions.
+
+Elimination is fraction-free Gauss–Jordan over Python ints (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968).  Each row is first scaled to integers
+by the lcm of its denominators, which leaves the reduced row echelon form
+unchanged.  With ``den`` the previous pivot (initially 1) and ``a`` the new
+pivot in column c, every other row x with entry b in column c becomes
+``(a*x - b*pivot_row) // den``.  By Sylvester's identity every entry is then
+a minor of the scaled input, so the division is exact, and every pivot row
+carries ``den`` on its pivot; the reduced form is ``mat / den``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
-def _rref(rows, ncols):
-    mat = [[Fraction(v) for v in row] for row in rows]
+def _integer_row(row) -> list[int]:
+    vals = [v if type(v) is int else Fraction(v) for v in row]
+    scale = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (scale // v.denominator) for v in vals]
+
+
+def _reduce(rows, ncols):
+    """Fraction-free Gauss–Jordan: (mat, pivots, den) with the reduced row
+    echelon form of ``rows`` equal to ``mat / den``."""
+    mat = [_integer_row(row) for row in rows]
     pivots = []
+    den = 1
     r = 0
     for c in range(ncols):
         if r == len(mat):
             break
-        p = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if p is None:
             continue
         mat[r], mat[p] = mat[p], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        a = prow[c]
+        for i, row in enumerate(mat):
+            if i == r:
+                continue
+            b = row[c]
+            if b:
+                mat[i] = [(a * x - b * y) // den for x, y in zip(row, prow)]
+            elif a != den:
+                mat[i] = [a * x // den for x in row]
+        den = a
         pivots.append(c)
         r += 1
-    return mat, pivots
+    return mat, pivots, den
 
 
 def rank(rows, ncols: int) -> int:
-    return len(_rref(rows, ncols)[1])
+    return len(_reduce(rows, ncols)[1])
 
 
 def nullspace(rows, ncols: int):
     """Basis of {x : rows . x = 0} as tuples of Fractions."""
-    mat, pivots = _rref(rows, ncols)
+    mat, pivots, den = _reduce(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
@@ -47,6 +71,6 @@ def nullspace(rows, ncols: int):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            vec[c] = -mat[r][f]
+            vec[c] = Fraction(-mat[r][f], den)
         basis.append(tuple(vec))
     return basis

@@ -300,7 +300,8 @@ def stilt_poset(q: Quiver, seed: int = 0, budget: int = 8):
 
     Built entirely from matrices (hom spaces and traces); the combinatorial
     cluster order never enters, so comparing the two posets is a genuine
-    cross-check.
+    cross-check.  Each cluster's generator tuple is built once; every entry
+    equals ``gen_leq`` on that pair.
     """
     if not q.is_dynkin:
         raise NotDynkin("the full support tilting poset needs a Dynkin quiver")
@@ -308,11 +309,12 @@ def stilt_poset(q: Quiver, seed: int = 0, budget: int = 8):
 
     enum = enumerate_clusters(q)
     realized = tuple(realize_cluster(q, c, seed=seed, budget=budget) for c in enum)
+    gens = [_reps_of(ml) for ml in realized]
     count = len(realized)
     leq = np.zeros((count, count), dtype=bool)
     for i in range(count):
         for j in range(count):
-            leq[i, j] = gen_leq(q, realized[i], realized[j])
+            leq[i, j] = all(_generated(q, rep, gens[j]) for rep in gens[i])
     return assemble_poset(realized, leq, complete=True, height_bound=None)
 
 
@@ -331,11 +333,10 @@ def compare_posets(p1, p2, mapping=None):
     if sorted(mapping) != list(range(n1)):
         raise SizeMismatch(f"mapping {mapping} is not a bijection on 0..{n1 - 1}")
     l1 = np.asarray(p1.leq, dtype=bool)
-    l2 = np.asarray(p2.leq, dtype=bool)
-    for i in range(n1):
-        for j in range(n1):
-            a = bool(l1[i, j])
-            b = bool(l2[mapping[i], mapping[j]])
-            if a != b:
-                return (False, (i, j, a, b))
-    return (True, None)
+    idx = np.array(mapping, dtype=np.intp)
+    l2 = np.asarray(p2.leq, dtype=bool)[np.ix_(idx, idx)]
+    diff = np.argwhere(l1 != l2)
+    if len(diff) == 0:
+        return (True, None)
+    i, j = (int(k) for k in diff[0])
+    return (False, (i, j, bool(l1[i, j]), bool(l2[i, j])))

@@ -3,13 +3,15 @@
 Everything here recomputes expected values from first principles with
 deliberately different algorithms than the package: box scans instead of
 reflection orbits, exhaustive function enumeration instead of dynamic
-programming, direct path counting instead of linear recursions.  Test
-modules freeze values produced by these oracles and compare the package
-against them.
+programming, direct path counting instead of linear recursions, Fraction
+Gauss–Jordan instead of fraction-free integer elimination.  Test modules
+freeze values produced by these oracles and compare the package against
+them.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 
@@ -125,3 +127,50 @@ def random_poset_matrix(rng, n: int) -> list[list[bool]]:
                     if leq[k][j]:
                         leq[i][j] = True
     return leq
+
+
+def rref_oracle(rows, ncols):
+    """Reduced row echelon form by textbook Gauss–Jordan over ``Fraction``.
+
+    Returns (mat, pivots).  The reference for ``linalg``'s fraction-free
+    integer elimination: every pivot is normalised to 1 as it is chosen.
+    """
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(mat):
+            break
+        p = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
+def rank_oracle(rows, ncols: int) -> int:
+    return len(rref_oracle(rows, ncols)[1])
+
+
+def nullspace_oracle(rows, ncols: int):
+    """Basis of {x : rows . x = 0}: one vector per free column of the RREF."""
+    mat, pivots = rref_oracle(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -mat[r][f]
+        basis.append(tuple(vec))
+    return basis

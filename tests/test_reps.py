@@ -206,6 +206,16 @@ class TestStiltPoset:
         with pytest.raises(errors.NotDynkin):
             stilt_poset(kronecker)
 
+    def test_leq_equals_gen_leq_on_every_pair(self, a3, d4):
+        for q in (a3, d4):
+            sp = stilt_poset(q)
+            m = len(sp.elements)
+            expected = [
+                [gen_leq(q, sp.elements[i], sp.elements[j]) for j in range(m)]
+                for i in range(m)
+            ]
+            assert sp.leq.tolist() == expected
+
     def test_element_labels_align_with_clusters(self, a2):
         sp = stilt_poset(a2)
         cp = cluster_poset(a2)
@@ -220,15 +230,44 @@ class TestComparePosets:
         sp = stilt_poset(a2)
         same, witness = compare_posets(cp, sp)
         assert same and witness is None
-        flipped = [[bool(cp.leq[j][i]) for i in range(5)] for j in range(5)]
-        flipped[0][1] = False
+        flipped = [[bool(cp.leq[i][j]) for j in range(5)] for i in range(5)]
+        flipped[3][0] = not flipped[3][0]
+        flipped[1][4] = not flipped[1][4]
 
         class Fake:
             leq = flipped
             elements = cp.elements
 
         ok, w = compare_posets(cp, Fake())
-        assert not ok and w is not None
+        assert not ok
+        # Both flips differ; the witness is the first in row-major order.
+        assert w == (1, 4, bool(cp.leq[1][4]), not cp.leq[1][4])
+
+    def test_witness_under_mapping(self, a3):
+        cp = cluster_poset(a3)
+        m = len(cp.elements)
+        mapping = [(5 * i + 3) % m for i in range(m)]
+        assert sorted(mapping) == list(range(m))
+        relabelled = [[False] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(m):
+                relabelled[mapping[i]][mapping[j]] = bool(cp.leq[i][j])
+
+        class Fake:
+            leq = relabelled
+            elements = cp.elements
+
+        assert compare_posets(cp, Fake(), mapping=mapping) == (True, None)
+        assert not compare_posets(cp, Fake())[0]
+        # Flip (i, j) = (2, 7) and (5, 1) of cp's indexing.  Under the
+        # mapping the second sits earlier in Fake's own row-major order, so
+        # this pins that the witness is ordered by p1's indices.
+        assert (mapping[5], mapping[1]) < (mapping[2], mapping[7])
+        for i, j in ((2, 7), (5, 1)):
+            relabelled[mapping[i]][mapping[j]] ^= True
+        ok, w = compare_posets(cp, Fake(), mapping=mapping)
+        assert not ok
+        assert w == (2, 7, bool(cp.leq[2][7]), not cp.leq[2][7])
 
     def test_size_mismatch(self, a2, a3):
         with pytest.raises(errors.SizeMismatch):
