@@ -14,10 +14,10 @@ The graph and the cluster order both come from one matrix of nonvanishing
 extension invariants, built once per call by ``einv.e_nonzero``.  On a
 Dynkin quiver that matrix is the closed form <a, b> < 0 on positive roots
 (Ringel 1984; Marsh-Reineke-Zelevinsky 2003), one product R E R^T; on
-other quivers it is filled from the recursion.  The per-pair predicates
-(``compatible``, ``is_precluster``, ``cluster_geq``) keep calling the
-recursion, and a naive subset-scan oracle is kept alongside for
-cross-validation.
+other quivers it is filled from ``einv.e_invariant``.  The per-pair
+predicates (``compatible``, ``is_precluster``, ``cluster_geq``) keep
+calling ``e_invariant``, and a naive subset-scan oracle is kept alongside
+for cross-validation.
 """
 
 from __future__ import annotations

@@ -5,20 +5,35 @@ computes the minimal dimension of Ext^1(M, N) over representations M, N of
 dimension vectors x, y.  It is defined purely combinatorially:
 
     e(x, 0) = e(0, y) = 0
-    e(x, y) = max { -<x', y - y'> : 0 <= x' <= x with e(x', x - x') = 0,
-                                    0 <= y' <= y with e(y', y - y') = 0 }
+    e(x, y) = max { -<x', y - y'> : x' in S(x), y' in S(y) }
+    S(x)    = { x' : 0 <= x' <= x, e(x', x - x') = 0 }
 
-where <.,.> is the Euler form.  The recursion is well founded: deciding
-whether x' is a generic summand of x only ever consults splittings of
-vectors of strictly smaller height.  Two cheaper one-sided maxima agree
-with the two-sided value: fixing x' = x peels only the right argument
-(generic quotients of y), and fixing y' = 0 peels only the left argument
-(generic subvectors of x).  ``e_invariant_alt`` computes them
-independently so the agreement can be tested.
+where <.,.> is the Euler form and S(x) is the set of generic subvectors
+(dimension vectors of subrepresentations of a generic representation) of x.
+Two one-sided maxima agree with the two-sided value: fixing y' = 0 peels
+only the left argument, e(x, y) = max { -<x', y> : x' in S(x) }, and
+fixing x' = x peels only generic quotients of y (Schofield, "General
+representations of quivers", Proc. LMS 1992).
 
-Everything is memoized per quiver.  The inner maxima run through numpy
-int64 when a conservative magnitude guard allows it, and fall back to exact
-Python integers otherwise, so no overflow can pass silently.
+The sets S(w) are filled bottom-up over the box 0 <= w <= top below a
+queried vector, with a bool table Z[a, b] = (e(a, b) == 0) over pairs of
+box cells.  Cells are visited in C order, which lists every a <= w before
+w.  S(w) is the a <= w with Z[a, w - a], one gather since
+idx(w - a) = idx(w) - idx(a), plus w itself (e(w, 0) = 0).  Then the left
+one-sided form gives row w at once: Z[w, b] = (min over x' in S(w) of
+<x', b>) >= 0, one product of S(w) with the cells b <= top - w, the only
+columns a later gather reads.  Each S(w) is kept per quiver, so a later
+box only recomputes its Z rows.  Boxes of more than ``BOX_LIMIT`` cells
+are refused before anything is allocated.
+
+The fill uses only the left one-sided form.  ``e_invariant`` still takes
+the two-sided maximum over S(x) x S(y), the definition itself, and
+``e_invariant_alt`` the right and left forms; the three agree by
+Schofield's theorem but share nothing except the sets.  So the ``einv``
+command and the ``verify`` battery compare three formulas, and a wrong
+set would most likely show as a disagreement rather than pass unseen.
+Top-level pairs are memoized per quiver.  Every product is exact under
+one proven magnitude bound (``_check_exact``).
 
 On a Dynkin quiver the algebra is representation-directed: for
 indecomposables X, Y at most one of Hom(X, Y) and Ext^1(X, Y) is nonzero.
@@ -27,18 +42,20 @@ e(a, b) = max(0, -<a, b>) (Ringel, *Tame algebras and integral quadratic
 forms*, LNM 1099, 1984; Marsh-Reineke-Zelevinsky, "Generalized
 associahedra via quiver representations", 2003).  ``e_nonzero`` uses it to
 give E-vanishing on a whole root table as one matrix product.  The
-recursion still runs for every other argument: non-root vectors, every
-non-Dynkin quiver, and ``e_invariant`` itself, which stays the reference.
+general computation still runs for every other argument: non-root vectors,
+every non-Dynkin quiver, and ``e_invariant`` itself, which stays the
+reference.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotDynkin, ProbeExhausted
+from .errors import LimitExceeded, NotDynkin, ProbeExhausted
 from .quiver import (
     DimVec,
     Quiver,
@@ -46,38 +63,40 @@ from .quiver import (
     euler_form,
     positive_real_roots,
     root_key,
-    subvectors,
     tits_form,
-    vsub,
 )
 
-# Entries above this never enter the numpy path; int64 products stay exact
-# far beyond desk scale, this is just the explicit guard.
-_NP_ENTRY_LIMIT = 2**30
+# Largest box (number of cells 0 <= w <= top) one fill may cover.  The Z
+# table holds one byte per pair of cells, so this caps it at 64 MiB.
+BOX_LIMIT = 8192
+
+# Integers below this are exact in float64 as well as in int64.
+_EXACT_LIMIT = 2**53
 
 
 @dataclass(frozen=True)
 class _Summands:
-    """Generic summands of one vector plus precomputed forms.
+    """Generic subvectors of one queried vector.
 
-    ``vecs`` are the x' with e(x', x - x') = 0, in (height, lex) order.
-    ``evecs`` holds the rows x' . euler_matrix as exact Python ints.
-    The numpy mirrors are None when entries exceed the int64 guard.
+    ``vecs`` are the x' with e(x', x - x') = 0, in (height, lex) order;
+    ``arr`` holds them as int64 rows and ``earr`` the rows x' . euler_matrix.
     """
 
     vecs: tuple[DimVec, ...]
-    evecs: tuple[tuple[int, ...], ...]
-    arr: np.ndarray | None
-    earr: np.ndarray | None
-    vmax: int
-    emax: int
+    arr: np.ndarray
+    earr: np.ndarray
 
 
 class _Memo:
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
+        self.emat = np.array(quiver.euler_matrix, dtype=np.int64)
+        self.emax = int(np.abs(self.emat).max())
         self.pairs: dict[tuple[DimVec, DimVec], int] = {}
-        self.summands: dict[DimVec, _Summands] = {}
+        # S(w) for every w some fill has covered, as int64 rows in C order.
+        self.sets: dict[DimVec, np.ndarray] = {}
+        # Records of the vectors callers asked for.
+        self.records: dict[DimVec, _Summands] = {}
         self.hits = 0
         self.misses = 0
 
@@ -93,67 +112,100 @@ def _memo_for(q: Quiver) -> _Memo:
 
 
 def e_cache_stats(q: Quiver) -> dict:
+    """Memo counters of one quiver.
+
+    ``pairs``, ``hits`` and ``misses`` count top-level ``e_invariant``
+    queries with both arguments nonzero (stored pairs, repeats, first
+    sightings); ``summand_sets`` counts the vectors whose S(w) is stored,
+    i.e. every cell of every box filled so far.
+    """
     memo = _memo_for(q)
     return {
         "pairs": len(memo.pairs),
-        "summand_sets": len(memo.summands),
+        "summand_sets": len(memo.sets),
         "hits": memo.hits,
         "misses": memo.misses,
     }
 
 
-def _build_summands(memo: _Memo, x: DimVec) -> _Summands:
-    rec = memo.summands.get(x)
+def _check_exact(memo: _Memo, h1: int, h2: int) -> None:
+    """Refuse a product whose entries might not be exact.
+
+    Every product in this module is a sum  sum_ij a_i E_ij b_j  with E the
+    Euler matrix and a, b nonnegative integer vectors of heights (entry
+    sums) at most h1 and h2; b may be a difference y - y' with y' <= y.
+    Every partial sum is then an integer of absolute value at most
+    emax * h1 * h2, where emax = max |E_ij| <= max(1, number of arrows).
+    Below 2^53 that is exact both in int64 and in float64 (the fill's
+    product), whatever the summation order.  A vector inside a box of at
+    most BOX_LIMIT cells has height at most BOX_LIMIT - 1, because
+    prod(x_i + 1) >= 1 + sum(x_i); so the bound holds for every quiver
+    with fewer than 2^53 / 8191^2, about 1.3e8, arrows, and failing it is
+    an internal error, never a silent rounding or wrap.
+    """
+    if memo.emax * h1 * h2 >= _EXACT_LIMIT:
+        raise RuntimeError(
+            "internal error: exact-product bound failed "
+            f"({memo.emax} * {h1} * {h2} >= 2^53)"
+        )
+
+
+def _fill(memo: _Memo, top: DimVec) -> None:
+    """Store S(w) for every w in the box 0 <= w <= top."""
+    shape = tuple(t + 1 for t in top)
+    cells = math.prod(shape)
+    if cells > BOX_LIMIT:
+        raise LimitExceeded(
+            f"the box below {list(top)} has {cells} cells, "
+            f"over the limit of {BOX_LIMIT}",
+            box=list(top),
+            cells=cells,
+            limit=BOX_LIMIT,
+        )
+    _check_exact(memo, sum(top), sum(top))
+    box = np.indices(shape, dtype=np.int64).reshape(len(top), cells).T
+    strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]
+
+    def below(v):
+        """C-order indices of the box cells <= v."""
+        idx = np.zeros(1, dtype=np.int64)
+        for vi, st in zip(v, strides):
+            idx = (idx[:, None] + np.arange(0, (vi + 1) * st, st)).ravel()
+        return idx
+
+    ebt = memo.emat.astype(np.float64) @ box.T
+    z = np.zeros((cells, cells), dtype=bool)
+    flat = z.reshape(-1)
+    for w_idx, w in enumerate(map(tuple, box.tolist())):
+        s = memo.sets.get(w)
+        if s is None:
+            sub = below(w)
+            # Z[a, w - a] sits at a * cells + (w_idx - a); the last sub cell
+            # is w itself, whose row is not filled yet.
+            keep = flat[sub * (cells - 1) + w_idx]
+            keep[-1] = True
+            s = memo.sets[w] = box[sub[keep]]
+        # Z[w, b] is only ever read with w + b <= top.
+        cols = below(tuple(t - a for t, a in zip(top, w)))
+        z[w_idx, cols] = (s @ ebt[:, cols]).min(axis=0) >= 0
+
+
+def _summands(memo: _Memo, x: DimVec) -> _Summands:
+    rec = memo.records.get(x)
     if rec is not None:
         return rec
-    keep = [xp for xp in subvectors(x) if _e(memo, xp, vsub(x, xp)) == 0]
-    if not keep or keep[0] != tuple([0] * len(x)) or keep[-1] != x:
+    if x not in memo.sets:
+        _fill(memo, x)
+    arr = memo.sets[x]
+    vecs = sorted((tuple(v) for v in arr.tolist()), key=root_key)
+    zero = (0,) * len(x)
+    if not vecs or vecs[0] != zero or vecs[-1] != x:
         raise RuntimeError(
             f"internal error: generic summand set of {x} lost a trivial splitting"
         )
-    emat = memo.quiver.euler_matrix
-    n = memo.quiver.n
-    evecs = tuple(
-        tuple(sum(v[i] * emat[i][j] for i in range(n)) for j in range(n))
-        for v in keep
-    )
-    vmax = max(max(abs(a) for a in v) for v in keep)
-    emax = max(max(abs(a) for a in row) for row in evecs)
-    if max(vmax, emax) < _NP_ENTRY_LIMIT:
-        arr = np.array(keep, dtype=np.int64)
-        earr = np.array(evecs, dtype=np.int64)
-    else:
-        arr = earr = None
-    rec = _Summands(tuple(keep), evecs, arr, earr, vmax, emax)
-    memo.summands[x] = rec
+    arr = np.array(vecs, dtype=np.int64).reshape(len(vecs), len(x))
+    rec = memo.records[x] = _Summands(tuple(vecs), arr, arr @ memo.emat)
     return rec
-
-
-def _pair_max(memo: _Memo, ax: _Summands, ay: _Summands, y: DimVec) -> int:
-    n = memo.quiver.n
-    ymax = max(y) if y else 0
-    safe = (
-        ax.earr is not None
-        and ay.arr is not None
-        and n * ax.emax * max(ay.vmax + ymax, 1) < 2**62
-    )
-    if safe:
-        diff = np.array(y, dtype=np.int64) - ay.arr
-        val = -int((ax.earr @ diff.T).min())
-    else:
-        best = None
-        for ev in ax.evecs:
-            for yp in ay.vecs:
-                term = -sum(e * (b - c) for e, b, c in zip(ev, y, yp))
-                if best is None or term > best:
-                    best = term
-        val = best
-    if val < 0:
-        raise RuntimeError(
-            "internal error: extension invariant came out negative "
-            f"({val}) for quiver {memo.quiver.arrows}"
-        )
-    return val
 
 
 def _e(memo: _Memo, x: DimVec, y: DimVec) -> int:
@@ -165,9 +217,16 @@ def _e(memo: _Memo, x: DimVec, y: DimVec) -> int:
         memo.hits += 1
         return cached
     memo.misses += 1
-    ax = _build_summands(memo, x)
-    ay = _build_summands(memo, y)
-    val = _pair_max(memo, ax, ay, y)
+    ax = _summands(memo, x)
+    ay = _summands(memo, y)
+    _check_exact(memo, sum(x), sum(y))
+    diff = np.array(y, dtype=np.int64) - ay.arr
+    val = -int((ax.earr @ diff.T).min())
+    if val < 0:
+        raise RuntimeError(
+            "internal error: extension invariant came out negative "
+            f"({val}) for quiver {memo.quiver.arrows}"
+        )
     memo.pairs[key] = val
     return val
 
@@ -179,7 +238,7 @@ def e_nonzero(q: Quiver, roots) -> np.ndarray:
     table (for a non-Dynkin quiver, any dimension vectors will do).  On a
     Dynkin quiver e(a, b) != 0 exactly when <a, b> < 0, so the matrix is
     R E R^T < 0 with R holding the roots as rows and E the Euler matrix;
-    elsewhere each entry comes from the recursion.
+    elsewhere each entry comes from ``e_invariant``.
     """
     roots = [q.check_dimvec(r) for r in roots]
     if not q.is_dynkin:
@@ -196,15 +255,16 @@ def e_nonzero(q: Quiver, roots) -> np.ndarray:
 def generic_summands(q: Quiver, x) -> tuple[DimVec, ...]:
     """All x' with 0 <= x' <= x and e(x', x - x') = 0, in (height, lex) order.
 
-    These are the dimension vectors of summands of a generic representation
-    of dimension x; they always include 0 and x itself.
+    These are the generic subvectors of x: the dimension vectors of the
+    subrepresentations every general representation of dimension x has
+    (Schofield 1992).  They always include 0 and x itself.
     """
     x = q.check_dimvec(x)
-    return _build_summands(_memo_for(q), x).vecs
+    return _summands(_memo_for(q), x).vecs
 
 
 def e_invariant(q: Quiver, x, y) -> int:
-    """The two-sided recursion; equals min dim Ext^1 over reps of dims x, y."""
+    """The two-sided maximum; equals min dim Ext^1 over reps of dims x, y."""
     x = q.check_dimvec(x)
     y = q.check_dimvec(y)
     return _e(_memo_for(q), x, y)
@@ -220,23 +280,13 @@ def e_invariant_alt(q: Quiver, x, y) -> tuple[int, int]:
     x = q.check_dimvec(x)
     y = q.check_dimvec(y)
     memo = _memo_for(q)
-    ax = _build_summands(memo, x)
-    ay = _build_summands(memo, y)
-    exy = euler_form(q, x, y)
-    emat = q.euler_matrix
-    n = q.n
-    xe = tuple(sum(x[i] * emat[i][j] for i in range(n)) for j in range(n))
-    ey = tuple(sum(emat[i][j] * y[j] for j in range(n)) for i in range(n))
-    xemax = max(map(abs, xe), default=0)
-    eymax = max(map(abs, ey), default=0)
-    if ay.arr is not None and n * xemax * max(ay.vmax, 1) < 2**62:
-        right = -exy + int((ay.arr @ np.array(xe, dtype=np.int64)).max())
-    else:
-        right = -exy + max(sum(a * b for a, b in zip(xe, yp)) for yp in ay.vecs)
-    if ax.arr is not None and n * eymax * max(ax.vmax, 1) < 2**62:
-        left = -int((ax.arr @ np.array(ey, dtype=np.int64)).min())
-    else:
-        left = -min(sum(a * b for a, b in zip(xp, ey)) for xp in ax.vecs)
+    ax = _summands(memo, x)
+    ay = _summands(memo, y)
+    _check_exact(memo, sum(x), sum(y))
+    xe = np.array(x, dtype=np.int64) @ memo.emat
+    ey = memo.emat @ np.array(y, dtype=np.int64)
+    right = -euler_form(q, x, y) + int((ay.arr @ xe).max())
+    left = -int((ax.arr @ ey).min())
     return (right, left)
 
 

@@ -35,10 +35,22 @@ Matrix = tuple[tuple, ...]
 
 @dataclass(frozen=True)
 class Representation:
-    """Matrices over Q for each arrow; matrices[a] has shape dims[t] x dims[s]."""
+    """Matrices over Q for each arrow; matrices[a] has shape dims[t] x dims[s].
+
+    Equality is field-wise.  The hash is computed once per instance: the
+    ``hom_basis`` and ``_generated`` caches look representations up far
+    more often than they build them, and each fresh hash walks every
+    matrix entry.
+    """
 
     dims: DimVec
     matrices: tuple[Matrix, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.dims, self.matrices)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def _check_shapes(q: Quiver, rep: Representation):

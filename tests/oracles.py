@@ -174,3 +174,54 @@ def nullspace_oracle(rows, ncols: int):
             vec[c] = -mat[r][f]
         basis.append(tuple(vec))
     return basis
+
+
+class PairRecursionOracle:
+    """The two-sided E-invariant recursion over exact Python integers.
+
+        e(x, 0) = e(0, y) = 0
+        e(x, y) = max { -<x', y - y'> : x' in S(x), y' in S(y) }
+        S(x) = { x' : 0 <= x' <= x, e(x', x - x') = 0 }
+
+    Every pair and every summand set is memoized on the instance, so one
+    oracle serves one quiver.  It is the reference for ``einv``, which
+    fills the summand sets bottom-up from the one-sided form instead.
+    """
+
+    def __init__(self, n: int, arrows):
+        self.mat = euler_matrix_oracle(n, arrows)
+        self.pairs: dict = {}
+        self.sets: dict = {}
+
+    def summands(self, x) -> tuple[tuple[int, ...], ...]:
+        """S(x) in (height, lex) order."""
+        x = tuple(x)
+        found = self.sets.get(x)
+        if found is None:
+            subs = product(*(range(a + 1) for a in x))
+            found = tuple(
+                xp
+                for xp in sorted(subs, key=lambda v: (sum(v), v))
+                if self.e(xp, tuple(a - b for a, b in zip(x, xp))) == 0
+            )
+            self.sets[x] = found
+        return found
+
+    def e(self, x, y) -> int:
+        x, y = tuple(x), tuple(y)
+        if not any(x) or not any(y):
+            return 0
+        found = self.pairs.get((x, y))
+        if found is None:
+            n = len(x)
+            rows = [
+                [sum(xp[i] * self.mat[i][j] for i in range(n)) for j in range(n)]
+                for xp in self.summands(x)
+            ]
+            found = max(
+                -sum(r[j] * (y[j] - yp[j]) for j in range(n))
+                for r in rows
+                for yp in self.summands(y)
+            )
+            self.pairs[(x, y)] = found
+        return found

@@ -21,7 +21,16 @@ from schur_clusters import (
     positive_real_roots,
     real_schur_roots,
 )
-from schur_clusters.einv import _MEMOS, derived_seed, e_nonzero
+from schur_clusters import einv
+from schur_clusters.einv import (
+    _MEMOS,
+    BOX_LIMIT,
+    _memo_for,
+    derived_seed,
+    e_nonzero,
+)
+
+from oracles import PairRecursionOracle
 
 
 class TestBaseCases:
@@ -185,6 +194,83 @@ class TestClosedForm:
     def test_empty_root_list(self, a2, kronecker):
         for q in (a2, kronecker):
             assert e_nonzero(q, []).shape == (0, 0)
+
+
+def _box(top):
+    return product(*(range(a + 1) for a in top))
+
+
+class TestAgainstPairRecursion:
+    """The bottom-up fill against the two-sided pair recursion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_quivers(), st.data())
+    def test_random_quivers(self, q, data):
+        entries = st.integers(min_value=0, max_value=3)
+        x = tuple(data.draw(entries) for _ in range(q.n))
+        y = tuple(data.draw(entries) for _ in range(q.n))
+        oracle = PairRecursionOracle(q.n, q.arrows)
+        assert generic_summands(q, x) == oracle.summands(x)
+        assert generic_summands(q, y) == oracle.summands(y)
+        assert e_invariant(q, x, y) == oracle.e(x, y)
+
+    @pytest.mark.parametrize(
+        "n, arrows, top",
+        [
+            (3, [(1, 2), (1, 2), (2, 3)], (5, 5, 5)),
+            (2, [(1, 2), (1, 2)], (12, 12)),
+        ],
+    )
+    def test_every_set_of_a_box(self, n, arrows, top):
+        q = Quiver(n, arrows)
+        _MEMOS.pop(q, None)
+        oracle = PairRecursionOracle(n, arrows)
+        generic_summands(q, top)
+        assert e_cache_stats(q)["summand_sets"] == len(list(_box(top)))
+        for w in _box(top):
+            assert generic_summands(q, w) == oracle.summands(w), w
+
+    def test_fill_order_does_not_matter(self, wild):
+        small, large = (2, 3, 1), (4, 3, 4)
+        sets = []
+        for order in ((small, large), (large, small)):
+            _MEMOS.pop(wild, None)
+            for top in order:
+                generic_summands(wild, top)
+            sets.append({w: generic_summands(wild, w) for w in _box(large)})
+        assert sets[0] == sets[1]
+
+
+class TestLimits:
+    def test_oversize_box_is_refused(self, wild):
+        _MEMOS.pop(wild, None)
+        with pytest.raises(errors.LimitExceeded) as info:
+            e_invariant(wild, (40, 40, 40), (1, 1, 1))
+        assert info.value.info == {
+            "box": [40, 40, 40], "cells": 41**3, "limit": BOX_LIMIT
+        }
+        assert "[40, 40, 40]" in str(info.value) and str(BOX_LIMIT) in str(info.value)
+        assert e_cache_stats(wild)["summand_sets"] == 0
+
+    def test_limit_counts_cells(self, monkeypatch, kronecker):
+        monkeypatch.setattr(einv, "BOX_LIMIT", 8)
+        monkeypatch.delitem(_MEMOS, kronecker, raising=False)
+        assert len(generic_summands(kronecker, (1, 3))) > 0  # 2 x 4 cells
+        with pytest.raises(errors.LimitExceeded):
+            generic_summands(kronecker, (2, 2))  # 3 x 3 cells
+        _MEMOS.pop(kronecker, None)
+
+    def test_failed_exactness_bound_is_internal(self, kronecker):
+        # No quiver small enough to build can fail the bound, so fake a
+        # huge Euler matrix entry on a cold memo.
+        _MEMOS.pop(kronecker, None)
+        _memo_for(kronecker).emax = 2**53
+        try:
+            for call in (e_invariant, e_invariant_alt):
+                with pytest.raises(RuntimeError, match="internal error"):
+                    call(kronecker, (1, 2), (2, 1))
+        finally:
+            _MEMOS.pop(kronecker, None)
 
 
 class TestMemo:

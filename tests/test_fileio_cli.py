@@ -135,6 +135,45 @@ class TestCli:
         assert payload["e"] == 1
         assert payload["one_sided"] == [1, 1]
 
+    def test_einv_oversize_box_exits_1(self, capsys, quiver_file, wild):
+        path = quiver_file("wild.quiver", wild)
+        argv = ["einv", "--quiver", path, "--x", "40,40,40", "--y", "1,1,1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[limit-exceeded]: ")
+
+    def test_einv_stats_count_top_level_queries(self, quiver_file, wild):
+        # A fresh process, so the per-quiver memo starts cold.  One query
+        # misses once; its fill stores the set of every cell of the 8^3 box.
+        path = quiver_file("wild.quiver", wild)
+        argv = ["einv", "--quiver", path, "--x", "7,7,7", "--y", "7,7,7", "--stats"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "schur_clusters", *argv],
+            capture_output=True, text=True, check=True,
+        )
+        payload = json.loads(proc.stdout)
+        assert proc.stdout == emit_json(payload)
+        assert payload["stats"] == {
+            "pairs": 1, "summand_sets": 512, "hits": 0, "misses": 1
+        }
+        assert proc.stderr == ""
+
+    def test_einv_failed_exactness_bound_exits_3(
+        self, capsys, monkeypatch, quiver_file, wild
+    ):
+        from schur_clusters import einv
+
+        monkeypatch.setattr(einv, "_EXACT_LIMIT", 1)
+        monkeypatch.delitem(einv._MEMOS, wild, raising=False)
+        path = quiver_file("wild.quiver", wild)
+        assert main(["einv", "--quiver", path, "--x", "1,2,0", "--y", "2,0,1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[internal]: ")
+
     def test_clusters_tsv(self, capsys, quiver_file, a2):
         path = quiver_file("a2.quiver", a2)
         assert main(["clusters", "--quiver", path, "--format", "tsv"]) == 0
