@@ -259,7 +259,7 @@ def cmd_preclusters(args):
         "complete": enum.complete,
         "height_bound": enum.height_bound,
         "count": len(enum.items),
-        "preclusters": [[output.variable_to_json(v) for v in c] for c in enum.items],
+        "preclusters": output.variables_to_json(enum.items),
     }
     return output.emit_json(payload), 0
 
@@ -279,13 +279,16 @@ def cmd_clusters(args):
         "complete": enum.complete,
         "height_bound": enum.height_bound,
         "count": len(enum.items),
-        "clusters": [[output.variable_to_json(v) for v in c] for c in enum.items],
+        "clusters": output.variables_to_json(enum.items),
     }
     return output.emit_json(payload), 0
 
 
-def _poset_payload(args, cp, elements_json, labels):
+def _poset_payload(args, cp, elements_json, groups):
+    """``groups`` holds each element's cluster variables; only the DOT
+    labels read them."""
     if args.format == "dot":
+        labels = [output.cluster_label(c) for c in groups]
         return output.emit_dot(labels, cp.hasse), 0
     if args.format == "tsv":
         return output.emit_tsv(cp.hasse), 0
@@ -306,23 +309,22 @@ def cmd_poset(args):
     variables = cl.cluster_variables(q, args.bound, args.seed, args.probe_budget)
     _gate_large(q, variables, args.allow_large)
     cp = cl.cluster_poset(q, bound=args.bound, seed=args.seed, budget=args.probe_budget)
-    elements = [[output.variable_to_json(v) for v in c] for c in cp.elements]
-    labels = [output.cluster_label(c) for c in cp.elements]
-    return _poset_payload(args, cp, elements, labels)
+    elements = output.variables_to_json(cp.elements)
+    return _poset_payload(args, cp, elements, cp.elements)
 
 
 def cmd_stilt(args):
     q = fileio.parse_quiver_file(args.quiver)
     sp = reps.stilt_poset(q, seed=args.seed, budget=args.probe_budget)
+    groups = [ml.labels() for ml in sp.elements]
     elements = [
         [
-            {"label": output.variable_to_json(v), "dims": list(rep.dims)}
-            for v, rep in ml.items
+            {"label": label, "dims": list(rep.dims)}
+            for label, (_, rep) in zip(row, ml.items)
         ]
-        for ml in sp.elements
+        for row, ml in zip(output.variables_to_json(groups), sp.elements)
     ]
-    labels = [output.cluster_label(ml.labels()) for ml in sp.elements]
-    return _poset_payload(args, sp, elements, labels)
+    return _poset_payload(args, sp, elements, groups)
 
 
 def cmd_torsion_count(args):

@@ -2,12 +2,25 @@
 
 All emitters are deterministic (sorted JSON keys, stable orderings), so a
 repeated run with the same inputs produces byte-identical output.
+
+``emit_json`` writes exactly what ``json.dumps(payload, indent=2,
+sort_keys=True)`` writes, plus a newline.  With an indent ``json`` falls
+back to its pure-Python encoder, which renders every occurrence of a
+value afresh; cluster payloads repeat the same few variable records
+thousands of times.  So ``emit_json`` renders each dict once per depth and
+reuses the text: the memo key is ``(id(d), depth)``.  The id is safe
+because every dict in the payload is held by the payload for the whole
+call, so no id can be freed and reused while the memo lives.  The depth is
+part of the key because the same dict at another depth is indented
+differently.  ``variables_to_json`` builds cluster lists in which equal
+variables share one record, so that memo hits.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .clusters import format_variable, neg_vertex
 from .errors import ParseError
@@ -18,6 +31,13 @@ def variable_to_json(v: DimVec) -> dict:
     if any(a < 0 for a in v):
         return {"type": "neg_simple", "vertex": neg_vertex(v)}
     return {"type": "root", "dim": list(v)}
+
+
+def variables_to_json(groups) -> list[list[dict]]:
+    """``variable_to_json`` over each group of variables (a sequence of
+    sequences), with one shared record per distinct variable."""
+    records = {v: variable_to_json(v) for v in {v for g in groups for v in g}}
+    return [[records[v] for v in g] for g in groups]
 
 
 def variable_from_json(obj, n: int) -> DimVec:
@@ -61,7 +81,47 @@ def cluster_label(c) -> str:
 
 
 def emit_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON: 2-space indent, sorted keys, ASCII only, trailing
+    newline.  Dict keys must be ``str`` (``TypeError`` otherwise)."""
+    memo: dict[tuple[int, int], str] = {}
+
+    def render(obj, depth: int) -> str:
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if isinstance(obj, dict):
+            key = (id(obj), depth)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = render_dict(obj, depth)
+            return text
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            if all(type(v) is int for v in obj):
+                items = map(int.__repr__, obj)
+            else:
+                items = (render(v, depth + 1) for v in obj)
+            return _wrap("[", items, "]", depth)
+        return json.dumps(obj)
+
+    def render_dict(d: dict, depth: int) -> str:
+        if not d:
+            return "{}"
+        for k in d:
+            if not isinstance(k, str):
+                raise TypeError(f"JSON object keys must be str, not {type(k).__name__}")
+        items = (
+            encode_basestring_ascii(k) + ": " + render(d[k], depth + 1)
+            for k in sorted(d)
+        )
+        return _wrap("{", items, "}", depth)
+
+    return render(payload, 0) + "\n"
+
+
+def _wrap(open_: str, items, close: str, depth: int) -> str:
+    inner = "\n" + "  " * (depth + 1)
+    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
 
 
 def emit_tsv(rows) -> str:

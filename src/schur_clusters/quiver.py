@@ -58,7 +58,9 @@ class Quiver:
     """A finite acyclic quiver on vertices 1..n.
 
     Construction validates arrow endpoints and rejects oriented cycles, so a
-    held instance is always well formed.
+    held instance is always well formed.  Equality is field-wise.  The hash
+    is computed once per instance, because every ``reps`` cache key holds
+    the quiver.
     """
 
     n: int
@@ -77,6 +79,10 @@ class Quiver:
                     arrow=(s, t),
                 )
         self.topological_order  # raises CycleDetected on an oriented cycle
+        object.__setattr__(self, "_hash", hash((self.n, self.arrows)))
+
+    def __hash__(self):
+        return self._hash
 
     @cached_property
     def topological_order(self) -> tuple[int, ...]:

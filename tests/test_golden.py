@@ -2,12 +2,18 @@
 
 The fixtures under ``tests/golden/`` hold the stdout of the invocations
 below: criterion 8's determinism set plus the all-preclusters path on D4
-and the incomplete (height-bounded) poset on the Kronecker quiver.  After
-an intended output change, regenerate them with
+and the incomplete (height-bounded) poset on the Kronecker quiver.  Outputs
+too large to keep as files (E6, E8, A5 DOT, D4 ``stilt``) are pinned by the
+sha256 of their stdout in ``digests.json``; E8 runs only under
+``SCHUR_CLUSTERS_LARGE=1``.  After an intended output change, regenerate
+both with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +56,16 @@ INVOCATIONS = {
     "poset-kron-b7.json": ["poset", "--quiver", _in("kron.quiver"), "--bound", "7"],
 }
 
+DIGEST_INVOCATIONS = {
+    "clusters-e6.json": ["clusters", "--quiver", _in("e6.quiver"), "--allow-large"],
+    "poset-e6.json": ["poset", "--quiver", _in("e6.quiver"), "--allow-large"],
+    "stilt-d4-s5.json": ["stilt", "--quiver", _in("d4.quiver"), "--seed", "5"],
+    "poset-a5.dot": ["poset", "--quiver", _in("a5.quiver"), "--format", "dot"],
+    "clusters-e8.json": ["clusters", "--quiver", _in("e8.quiver"), "--allow-large"],
+}
+LARGE_DIGESTS = {"clusters-e8.json"}
+DIGESTS = GOLDEN / "digests.json"
+
 
 def run_cli(argv) -> bytes:
     """Stdout of one CLI call in a fresh interpreter."""
@@ -68,6 +84,20 @@ def test_cli_stdout_matches_golden(name):
     assert run_cli(INVOCATIONS[name]) == expected, name
 
 
+@pytest.mark.parametrize("name", sorted(DIGEST_INVOCATIONS))
+def test_cli_stdout_matches_digest(name):
+    if name in LARGE_DIGESTS and not os.environ.get("SCHUR_CLUSTERS_LARGE"):
+        pytest.skip("stretch target; set SCHUR_CLUSTERS_LARGE=1 to run")
+    expected = json.loads(DIGESTS.read_text())[name]
+    digest = hashlib.sha256(run_cli(DIGEST_INVOCATIONS[name])).hexdigest()
+    assert digest == expected, name
+
+
 if __name__ == "__main__":
     for name, argv in INVOCATIONS.items():
         (GOLDEN / name).write_bytes(run_cli(argv))
+    digests = {
+        name: hashlib.sha256(run_cli(argv)).hexdigest()
+        for name, argv in sorted(DIGEST_INVOCATIONS.items())
+    }
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")

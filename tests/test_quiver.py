@@ -49,6 +49,16 @@ class TestConstruction:
         with pytest.raises(errors.BadIndex):
             Quiver(0, [])
 
+    def test_equal_quivers_hash_equal(self):
+        q1 = Quiver(3, [(1, 2), (2, 3)])
+        q2 = Quiver(3, [[1, 2], [2, 3]])
+        assert q1 == q2 and q1 is not q2
+        assert hash(q1) == hash(q2)
+        assert q1 != Quiver(3, [(1, 2), (3, 2)])
+        table = {q1: "a3"}
+        assert table[q2] == "a3"
+        assert Quiver(3, [(1, 2), (3, 2)]) not in table
+
     def test_parallel_arrows_kept(self, kronecker):
         assert len(kronecker.arrows) == 2
 
