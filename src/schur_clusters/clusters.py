@@ -360,51 +360,58 @@ class ClusterPoset:
         return len(self.elements)
 
 
+def _covers(lt, lt2) -> tuple[tuple[int, int], ...]:
+    """Cover pairs from the strict order ``lt`` and its square ``lt2``."""
+    return tuple((int(i), int(j)) for i, j in np.argwhere(lt & ~lt2))
+
+
 def cover_pairs(leq) -> tuple[tuple[int, int], ...]:
     """Cover pairs (i, j), i covered by j, of an order matrix: i < j with
     nothing strictly between.  Boolean products are exact at any size."""
     lt = np.asarray(leq, dtype=bool) & ~np.eye(len(leq), dtype=bool)
-    return tuple((int(i), int(j)) for i, j in np.argwhere(lt & ~(lt @ lt)))
+    return _covers(lt, lt @ lt)
 
 
 def assemble_poset(elements, leq, complete: bool, height_bound) -> ClusterPoset:
     """Verify the order axioms on a relation matrix and package the poset.
 
     Raises NotAPartialOrder with a concrete witness if reflexivity,
-    antisymmetry or transitivity fails.
+    antisymmetry or transitivity fails.  For a reflexive ``leq``,
+    ``leq @ leq`` is ``leq | (lt @ lt)`` with ``lt`` the strict part, so one
+    square ``lt @ lt`` serves the transitivity check and the covers.
     """
     leq = np.asarray(leq, dtype=bool)
     m = len(elements)
     if leq.shape != (m, m):
         raise NotAPartialOrder(f"relation shape {leq.shape} for {m} elements")
-    if m:
-        diag = np.diagonal(leq)
-        if not diag.all():
-            i = int(np.flatnonzero(~diag)[0])
-            raise NotAPartialOrder(f"not reflexive at element {i}", index=i)
-        sym = leq & leq.T
-        np.fill_diagonal(sym, False)
-        if sym.any():
-            i, j = map(int, np.argwhere(sym)[0])
-            raise NotAPartialOrder(
-                f"antisymmetry fails: elements {i} and {j} compare both ways",
-                pair=(i, j),
-            )
-        gap = (leq @ leq) & ~leq
-        if gap.any():
-            i, j = map(int, np.argwhere(gap)[0])
-            raise NotAPartialOrder(
-                f"transitivity fails: a path joins {i} to {j} but leq does not",
-                pair=(i, j),
-            )
-    bottoms = np.flatnonzero(leq.all(axis=1)) if m else []
-    tops = np.flatnonzero(leq.all(axis=0)) if m else []
+    diag = np.diagonal(leq)
+    if not diag.all():
+        i = int(np.flatnonzero(~diag)[0])
+        raise NotAPartialOrder(f"not reflexive at element {i}", index=i)
+    lt = leq & ~np.eye(m, dtype=bool)
+    sym = lt & lt.T
+    if sym.any():
+        i, j = map(int, np.argwhere(sym)[0])
+        raise NotAPartialOrder(
+            f"antisymmetry fails: elements {i} and {j} compare both ways",
+            pair=(i, j),
+        )
+    lt2 = lt @ lt
+    gap = lt2 & ~leq
+    if gap.any():
+        i, j = map(int, np.argwhere(gap)[0])
+        raise NotAPartialOrder(
+            f"transitivity fails: a path joins {i} to {j} but leq does not",
+            pair=(i, j),
+        )
+    bottoms = np.flatnonzero(leq.all(axis=1))
+    tops = np.flatnonzero(leq.all(axis=0))
     leq = leq.copy()
     leq.setflags(write=False)
     return ClusterPoset(
         elements=tuple(elements),
         leq=leq,
-        hasse=cover_pairs(leq),
+        hasse=_covers(lt, lt2),
         top=int(tops[0]) if len(tops) else None,
         bottom=int(bottoms[0]) if len(bottoms) else None,
         complete=complete,

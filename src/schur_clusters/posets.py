@@ -25,7 +25,7 @@ from .errors import (
     NotTransitiveClosure,
     SizeMismatch,
 )
-from .quiver import Quiver
+from .quiver import Quiver, topological_sort
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,21 +141,8 @@ def _check_map(f, p: FinitePoset, l: FinitePoset):
     return f
 
 
-def _linear_extension(p: FinitePoset) -> list[int]:
-    mat = p.leq
-    remaining = set(range(p.n))
-    order = []
-    while remaining:
-        ready = sorted(
-            i for i in remaining if not any(mat[j, i] for j in remaining if j != i)
-        )
-        order.append(ready[0])
-        remaining.remove(ready[0])
-    return order
-
-
 def _count_backtracking(p: FinitePoset, l: FinitePoset) -> int:
-    order = _linear_extension(p)
+    order = topological_sort(p.n, covers_of(p))
     preds = [
         [j for j in range(k) if p.leq[order[j], order[k]]] for k in range(p.n)
     ]
@@ -187,11 +174,12 @@ def _count_dp(p: FinitePoset, l: FinitePoset) -> int:
     stay on the frontier multiplies a state's count by the number of
     allowed values instead of branching on them.  Counts are exact ints.
     """
-    order = _linear_extension(p)
+    covers = covers_of(p)
+    order = topological_sort(p.n, covers)
     step = {e: k for k, e in enumerate(order)}
     lower = [[] for _ in range(p.n)]
     last_upper = [-1] * p.n
-    for i, j in cover_pairs(p.leq):
+    for i, j in covers:
         lower[j].append(i)
         last_upper[i] = max(last_upper[i], step[j])
     rows = np.packbits(l.leq, axis=1, bitorder="little")

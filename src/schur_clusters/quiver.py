@@ -9,6 +9,7 @@ generation of positive real roots as the Weyl orbit of the simple roots.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -19,21 +20,33 @@ from .errors import BadIndex, BoundRequired, CycleDetected, DimensionMismatch, N
 DimVec = tuple[int, ...]
 
 
-def height(x: DimVec) -> int:
-    return sum(x)
-
-
 def unit(n: int, i: int) -> DimVec:
     """The i-th simple root (1-based vertex index)."""
     return tuple(1 if j == i - 1 else 0 for j in range(n))
 
 
-def vadd(x: DimVec, y: DimVec) -> DimVec:
-    return tuple(a + b for a, b in zip(x, y))
+def topological_sort(n: int, edges) -> list[int]:
+    """Kahn's algorithm on vertices 0..n-1, smallest ready vertex first.
 
-
-def vsub(x: DimVec, y: DimVec) -> DimVec:
-    return tuple(a - b for a, b in zip(x, y))
+    ``edges`` are (s, t) pairs meaning s comes before t; parallel edges are
+    fine.  The order is shorter than n exactly when the edges close a
+    cycle, and then it omits every vertex on a cycle or reachable from one.
+    """
+    indeg = [0] * n
+    out = [[] for _ in range(n)]
+    for s, t in edges:
+        out[s].append(t)
+        indeg[t] += 1
+    ready = [v for v in range(n) if indeg[v] == 0]
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    return order
 
 
 def support(x: DimVec) -> frozenset[int]:
@@ -87,29 +100,14 @@ class Quiver:
     @cached_property
     def topological_order(self) -> tuple[int, ...]:
         """Vertices in a source-to-sink order (arrows go forward)."""
-        indeg = [0] * (self.n + 1)
-        out = [[] for _ in range(self.n + 1)]
-        for s, t in self.arrows:
-            out[s].append(t)
-            indeg[t] += 1
-        ready = sorted(v for v in range(1, self.n + 1) if indeg[v] == 0)
-        order = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            fresh = []
-            for w in out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    fresh.append(w)
-            ready = sorted(ready + fresh)
+        order = topological_sort(self.n, [(s - 1, t - 1) for s, t in self.arrows])
         if len(order) != self.n:
-            stuck = sorted(v for v in range(1, self.n + 1) if indeg[v] > 0)
+            stuck = sorted(set(range(1, self.n + 1)) - {v + 1 for v in order})
             raise CycleDetected(
                 f"quiver contains an oriented cycle through vertices {stuck}",
                 vertices=stuck,
             )
-        return tuple(order)
+        return tuple(v + 1 for v in order)
 
     @cached_property
     def euler_matrix(self) -> tuple[tuple[int, ...], ...]:

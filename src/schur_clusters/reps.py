@@ -6,7 +6,8 @@ equations, Ext^1 dimensions follow from the Euler form, and generation
 (Gen M membership) is decided by a trace criterion on actual matrices.
 This gives an independent route to the combinatorial invariants: sampled
 exceptional modules realize cluster variables, and the generation order on
-realized clusters must reproduce the combinatorial cluster order.
+realized clusters must reproduce the combinatorial cluster order.  That
+order is one product over a module x cluster table of trace checks.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ class Representation:
     """Matrices over Q for each arrow; matrices[a] has shape dims[t] x dims[s].
 
     Equality is field-wise.  The hash is computed once per instance: the
-    ``hom_basis`` and ``_generated`` caches look representations up far
-    more often than they build them, and each fresh hash walks every
-    matrix entry.
+    ``hom_basis`` cache looks representations up far more often than it
+    builds them, and each fresh hash walks every matrix entry.
     """
 
     dims: DimVec
@@ -274,7 +274,6 @@ def is_support_tilting(q: Quiver, modules: ModuleList) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def _generated(q: Quiver, x: Representation, generators: tuple) -> bool:
     """Trace criterion: x is a quotient of a finite sum of the generators
     iff the images of all homomorphisms into x fill every vertex space."""
@@ -312,8 +311,12 @@ def stilt_poset(q: Quiver, seed: int = 0, budget: int = 8):
 
     Built entirely from matrices (hom spaces and traces); the combinatorial
     cluster order never enters, so comparing the two posets is a genuine
-    cross-check.  Each cluster's generator tuple is built once; every entry
-    equals ``gen_leq`` on that pair.
+    cross-check.  Gen T membership depends only on the module and on T's
+    summands, so with P the cluster x module membership matrix over the
+    distinct positive modules and G[v, c] the trace criterion for module v
+    against cluster c, s <= t exactly when ``not (P @ not G)[s, t]``: each
+    (module, cluster) pair is checked once, and every entry equals
+    ``gen_leq`` on that pair.
     """
     if not q.is_dynkin:
         raise NotDynkin("the full support tilting poset needs a Dynkin quiver")
@@ -322,11 +325,13 @@ def stilt_poset(q: Quiver, seed: int = 0, budget: int = 8):
     enum = enumerate_clusters(q)
     realized = tuple(realize_cluster(q, c, seed=seed, budget=budget) for c in enum)
     gens = [_reps_of(ml) for ml in realized]
-    count = len(realized)
-    leq = np.zeros((count, count), dtype=bool)
-    for i in range(count):
-        for j in range(count):
-            leq[i, j] = all(_generated(q, rep, gens[j]) for rep in gens[i])
+    modules = list(dict.fromkeys(rep for g in gens for rep in g))
+    column = {rep: v for v, rep in enumerate(modules)}
+    members = np.zeros((len(gens), len(modules)), dtype=bool)
+    for row, g in zip(members, gens):
+        row[[column[rep] for rep in g]] = True
+    generated = np.array([[_generated(q, rep, g) for g in gens] for rep in modules])
+    leq = ~(members @ ~generated)
     return assemble_poset(realized, leq, complete=True, height_bound=None)
 
 

@@ -1,6 +1,7 @@
 """Preclusters, clusters, completion and the cluster order."""
 
 import os
+import random
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from schur_clusters import (
     positive_real_roots,
     projective_dimension_vectors,
 )
-from schur_clusters.clusters import _compat_matrix, var_key
+from schur_clusters.clusters import _compat_matrix, assemble_poset, cover_pairs, var_key
+
+from oracles import random_poset_matrix
 
 E7 = Quiver(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)])
 E8 = Quiver(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)])
@@ -304,22 +307,16 @@ class TestClusterPoset:
 
 class TestAssembleGuards:
     def test_bad_relation_rejected(self, a2):
-        from schur_clusters.clusters import assemble_poset
-
         leq = np.zeros((2, 2), dtype=bool)  # not reflexive
         with pytest.raises(errors.NotAPartialOrder):
             assemble_poset([("a",), ("b",)], leq, complete=True, height_bound=None)
 
     def test_cyclic_relation_rejected(self):
-        from schur_clusters.clusters import assemble_poset
-
         leq = np.ones((2, 2), dtype=bool)  # a <= b and b <= a
         with pytest.raises(errors.NotAPartialOrder):
             assemble_poset([("a",), ("b",)], leq, complete=True, height_bound=None)
 
     def test_intransitive_relation_with_many_paths_rejected(self):
-        from schur_clusters.clusters import assemble_poset
-
         # 0 <= k <= 257 for all 256 middle elements, but not 0 <= 257.
         m = 258
         leq = np.eye(m, dtype=bool)
@@ -330,6 +327,24 @@ class TestAssembleGuards:
                 [(k,) for k in range(m)], leq, complete=True, height_bound=None
             )
         assert info.value.info["pair"] == (0, m - 1)
+
+    def test_hasse_equals_cover_pairs_on_random_posets(self):
+        rng = random.Random(2014)
+        for _ in range(200):
+            n = rng.randint(0, 12)
+            perm = np.array(rng.sample(range(n), n), dtype=np.intp)
+            leq = np.array(random_poset_matrix(rng, n), dtype=bool).reshape(n, n)
+            leq = leq[np.ix_(perm, perm)]
+            poset = assemble_poset(list(range(n)), leq, True, None)
+            assert poset.hasse == cover_pairs(leq)
+            lt = leq & ~np.eye(n, dtype=bool)
+            covers = {
+                (i, j)
+                for i in range(n)
+                for j in range(n)
+                if lt[i, j] and not any(lt[i, k] and lt[k, j] for k in range(n))
+            }
+            assert set(poset.hasse) == covers
 
 
 class TestOrientationCovariance:

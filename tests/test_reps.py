@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from schur_clusters import (
+    Quiver,
     cluster_poset,
     compare_posets,
     e_invariant,
@@ -22,6 +23,8 @@ from schur_clusters import (
     stilt_poset,
     zero_representation,
 )
+
+D4_CENTRE = Quiver(4, [(1, 2), (2, 3), (2, 4)])
 
 
 def simple_rep(q, i):
@@ -207,7 +210,8 @@ class TestStiltPoset:
             stilt_poset(kronecker)
 
     def test_leq_equals_gen_leq_on_every_pair(self, a3, d4):
-        for q in (a3, d4):
+        # d4 is the source orientation; D4_CENTRE has vertex 2 in the middle.
+        for q in (a3, d4, D4_CENTRE):
             sp = stilt_poset(q)
             m = len(sp.elements)
             expected = [
