@@ -60,7 +60,6 @@ from .quiver import (
     DimVec,
     Quiver,
     RootSet,
-    euler_form,
     positive_real_roots,
     root_key,
     tits_form,
@@ -283,9 +282,11 @@ def e_invariant_alt(q: Quiver, x, y) -> tuple[int, int]:
     ax = _summands(memo, x)
     ay = _summands(memo, y)
     _check_exact(memo, sum(x), sum(y))
+    yv = np.array(y, dtype=np.int64)
     xe = np.array(x, dtype=np.int64) @ memo.emat
-    ey = memo.emat @ np.array(y, dtype=np.int64)
-    right = -euler_form(q, x, y) + int((ay.arr @ xe).max())
+    ey = memo.emat @ yv
+    # <x, y> = x . E . y, read off xe; both vectors are validated above.
+    right = -int(xe @ yv) + int((ay.arr @ xe).max())
     left = -int((ax.arr @ ey).min())
     return (right, left)
 

@@ -147,12 +147,12 @@ class Quiver:
         return True
 
     def check_dimvec(self, x, allow_negative=False) -> DimVec:
-        x = tuple(int(a) for a in x)
+        x = tuple(map(int, x))
         if len(x) != self.n:
             raise DimensionMismatch(
                 f"vector of length {len(x)} against a quiver with {self.n} vertices"
             )
-        if not allow_negative and any(a < 0 for a in x):
+        if not allow_negative and x and min(x) < 0:
             raise NegativeEntry(f"vector {x} has a negative entry")
         return x
 

@@ -2,12 +2,16 @@
 
 Representations assign a dimension to each vertex and an exact integer or
 rational matrix to each arrow.  Hom spaces are solved from the intertwining
-equations, Ext^1 dimensions follow from the Euler form, and generation
-(Gen M membership) is decided by a trace criterion on actual matrices.
-This gives an independent route to the combinatorial invariants: sampled
-exceptional modules realize cluster variables, and the generation order on
-realized clusters must reproduce the combinatorial cluster order.  That
-order is one product over a module x cluster table of trace checks.
+equations: ``hom_basis`` takes their null space, while ``hom_dim`` needs
+only their rank.  Ext^1 dimensions follow from the Euler form, and
+generation (Gen M membership) is decided by a trace criterion on actual
+matrices.  This gives an independent route to the combinatorial
+invariants: sampled exceptional modules realize cluster variables, and the
+generation order on realized clusters must reproduce the combinatorial
+cluster order.  Realization samples each distinct variable once and checks
+Ext^1 once per pair of variables sharing a cluster; the order is one
+product over a module x cluster table of trace checks, each a rank test on
+image bases reduced once per (generator, module, vertex).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .errors import (
     ProbeExhausted,
     SizeMismatch,
 )
-from .linalg import nullspace, rank
+from .linalg import echelon_basis, nullspace, rank
 from .quiver import DimVec, Quiver, euler_form, support, tits_form
 
 Matrix = tuple[tuple, ...]
@@ -96,10 +100,13 @@ def zero_representation(q: Quiver, dims=None) -> Representation:
     return Representation(dims, tuple(mats))
 
 
-@lru_cache(maxsize=None)
-def hom_basis(q: Quiver, m: Representation, n: Representation):
-    """Basis of Hom(m, n): tuples of per-vertex matrices phi_i with
-    phi_target . m_a = n_a . phi_source for every arrow a."""
+def _hom_equations(q: Quiver, m: Representation, n: Representation):
+    """The intertwining equations of Hom(m, n) as (rows, total, off).
+
+    The unknowns are the entries of the per-vertex matrices phi_i (n.dims[i]
+    x m.dims[i], row-major, phi_i starting at column off[i]), and each row
+    is one entry of phi_target . m_a - n_a . phi_source = 0.
+    """
     _check_shapes(q, m)
     _check_shapes(q, n)
     nv = q.n
@@ -120,11 +127,19 @@ def hom_basis(q: Quiver, m: Representation, n: Representation):
                 for k in range(n.dims[s0]):
                     row[off[s0] + k * m.dims[s0] + c] -= na[r][k]
                 rows.append(row)
+    return rows, total, off
+
+
+@lru_cache(maxsize=None)
+def hom_basis(q: Quiver, m: Representation, n: Representation):
+    """Basis of Hom(m, n): tuples of per-vertex matrices phi_i with
+    phi_target . m_a = n_a . phi_source for every arrow a."""
+    rows, total, off = _hom_equations(q, m, n)
     basis = nullspace(rows, total)
     morphisms = []
     for vec in basis:
         mats = []
-        for i in range(nv):
+        for i in range(q.n):
             rct, cct = n.dims[i], m.dims[i]
             mats.append(
                 tuple(
@@ -137,7 +152,10 @@ def hom_basis(q: Quiver, m: Representation, n: Representation):
 
 
 def hom_dim(q: Quiver, m: Representation, n: Representation) -> int:
-    return len(hom_basis(q, m, n))
+    """dim Hom(m, n): the unknowns of the intertwining equations minus their
+    rank.  Only the rank is computed, so no basis is built."""
+    rows, total, _ = _hom_equations(q, m, n)
+    return total - rank(rows, total)
 
 
 def ext_dim(q: Quiver, m: Representation, n: Representation) -> int:
@@ -159,9 +177,11 @@ def sample_exceptional(
 
     Matrices get small random integer entries from a generator seeded
     deterministically by (quiver, alpha, seed, attempt); a candidate is
-    accepted only after verifying End = Q and Ext^1 = 0.  Vectors with Tits
-    form != 1 are rejected before sampling, since no exceptional module can
-    exist there.
+    accepted only after verifying End = Q and Ext^1 = 0.  Both come from one
+    count: dim End is ``hom_dim(rep, rep)``, and dim Ext^1 is that minus the
+    Tits form <alpha, alpha>, as in ``ext_dim``.  Vectors with Tits form != 1
+    are rejected before sampling, since no exceptional module can exist
+    there.
     """
     alpha = q.check_dimvec(alpha)
     tf = tits_form(q, alpha)
@@ -185,7 +205,9 @@ def sample_exceptional(
                 )
             )
         rep = Representation(alpha, tuple(mats))
-        if hom_dim(q, rep, rep) == 1 and ext_dim(q, rep, rep) == 0:
+        end = hom_dim(q, rep, rep)
+        ext = end - tf
+        if end == 1 and ext == 0:
             return rep
     raise ProbeExhausted(
         f"no exceptional representation of dimension {alpha} found in "
@@ -194,6 +216,10 @@ def sample_exceptional(
         budget=budget,
         seeds=seeds_tried,
     )
+
+
+def _positive(v) -> bool:
+    return any(a > 0 for a in v)
 
 
 @dataclass(frozen=True)
@@ -208,10 +234,40 @@ class ModuleList:
     items: tuple[tuple[DimVec, Representation], ...]
 
     def positives(self):
-        return tuple((v, rep) for v, rep in self.items if any(a > 0 for a in v))
+        return tuple((v, rep) for v, rep in self.items if _positive(v))
 
     def labels(self):
         return tuple(v for v, _ in self.items)
+
+
+def _realize(q: Quiver, clusters, seed: int, budget: int) -> tuple[ModuleList, ...]:
+    """ModuleLists for preclusters given as label tuples in canonical order.
+
+    Each distinct positive variable is sampled once, and Ext^1 = 0 is
+    verified on the sampled matrices once for each ordered pair of distinct
+    positive variables that share a precluster (each sample already has
+    Ext^1(rep, rep) = 0).  Any failure is raised loudly.
+    """
+    zero = zero_representation(q)
+    sampled = {}
+    pairs = {}
+    for c in clusters:
+        pos = [v for v in c if _positive(v)]
+        for v in pos:
+            if v not in sampled:
+                sampled[v] = sample_exceptional(q, v, seed=seed, budget=budget)
+        pairs.update(((va, vb), None) for va in pos for vb in pos if va != vb)
+    for va, vb in pairs:
+        e = ext_dim(q, sampled[va], sampled[vb])
+        if e != 0:
+            raise RuntimeError(
+                f"internal error: sampled modules for {va}, {vb} have "
+                f"Ext^1 of dimension {e}, contradicting the precluster"
+            )
+    return tuple(
+        ModuleList(tuple((v, sampled[v] if _positive(v) else zero) for v in c))
+        for c in clusters
+    )
 
 
 def realize_cluster(q: Quiver, s, seed: int = 0, budget: int = 8) -> ModuleList:
@@ -228,22 +284,7 @@ def realize_cluster(q: Quiver, s, seed: int = 0, budget: int = 8) -> ModuleList:
     ok, why = is_precluster(q, svars)
     if not ok:
         raise NotAPrecluster(f"not a precluster: {why}", reason=why)
-    items = []
-    for v in svars:
-        if any(a < 0 for a in v):
-            items.append((v, zero_representation(q)))
-        else:
-            items.append((v, sample_exceptional(q, v, seed=seed, budget=budget)))
-    pos = [(v, rep) for v, rep in items if any(a > 0 for a in v)]
-    for va, ra in pos:
-        for vb, rb in pos:
-            e = ext_dim(q, ra, rb)
-            if e != 0:
-                raise RuntimeError(
-                    f"internal error: sampled modules for {va}, {vb} have "
-                    f"Ext^1 of dimension {e}, contradicting the precluster"
-                )
-    return ModuleList(tuple(items))
+    return _realize(q, [tuple(svars)], seed, budget)[0]
 
 
 def is_support_tilting(q: Quiver, modules: ModuleList) -> bool:
@@ -306,31 +347,76 @@ def gen_leq(q: Quiver, n, m) -> bool:
     return all(_generated(q, rep, gens) for rep in _reps_of(n))
 
 
+def _image_bases(q: Quiver, modules) -> list[list[list]]:
+    """bases[x][g][i]: integer echelon rows spanning the image at vertex i
+    of all homomorphisms from module g to module x (the columns of phi_i,
+    for phi in ``hom_basis(g, x)``)."""
+    bases = []
+    for x in modules:
+        per_g = []
+        for g in modules:
+            homs = hom_basis(q, g, x)
+            per_g.append(
+                [
+                    echelon_basis(
+                        [
+                            [phi[i][r][c] for r in range(d)]
+                            for phi in homs
+                            for c in range(g.dims[i])
+                        ],
+                        d,
+                    )
+                    for i, d in enumerate(x.dims)
+                ]
+            )
+        bases.append(per_g)
+    return bases
+
+
+def _fills(x: Representation, per_g, gens) -> bool:
+    """Trace criterion on image bases: the images of all maps from the
+    modules ``gens`` (indices into ``per_g = bases[x]``) into x have full
+    rank at every vertex."""
+    return all(
+        rank([row for k in gens for row in per_g[k][i]], d) == d
+        for i, d in enumerate(x.dims)
+        if d
+    )
+
+
 def stilt_poset(q: Quiver, seed: int = 0, budget: int = 8):
     """Poset of realized clusters under the generation order.
 
     Built entirely from matrices (hom spaces and traces); the combinatorial
     cluster order never enters, so comparing the two posets is a genuine
     cross-check.  Gen T membership depends only on the module and on T's
-    summands, so with P the cluster x module membership matrix over the
-    distinct positive modules and G[v, c] the trace criterion for module v
-    against cluster c, s <= t exactly when ``not (P @ not G)[s, t]``: each
-    (module, cluster) pair is checked once, and every entry equals
-    ``gen_leq`` on that pair.
+    summands.  So with P the cluster x module membership matrix over the
+    distinct positive modules and G[x, c] the trace criterion for module x
+    against cluster c, s <= t exactly when ``not (P @ not G)[s, t]``.
+
+    Every piece of exact work is done once: each positive variable is
+    sampled once (``_realize``), and the image of Hom(g, x) at each vertex
+    is reduced to an integer echelon basis once per (g, x, vertex).  G[x, c]
+    then holds when the stacked bases of c's summands have full rank at
+    every vertex of x, which is ``_generated``'s trace criterion; every
+    entry of the order equals ``gen_leq`` on that pair.
     """
     if not q.is_dynkin:
         raise NotDynkin("the full support tilting poset needs a Dynkin quiver")
     from .clusters import assemble_poset, enumerate_clusters
 
-    enum = enumerate_clusters(q)
-    realized = tuple(realize_cluster(q, c, seed=seed, budget=budget) for c in enum)
-    gens = [_reps_of(ml) for ml in realized]
-    modules = list(dict.fromkeys(rep for g in gens for rep in g))
+    realized = _realize(q, enumerate_clusters(q).items, seed, budget)
+    summands = [_reps_of(ml) for ml in realized]
+    modules = list(dict.fromkeys(rep for g in summands for rep in g))
     column = {rep: v for v, rep in enumerate(modules)}
+    gens = [[column[rep] for rep in g] for g in summands]
     members = np.zeros((len(gens), len(modules)), dtype=bool)
     for row, g in zip(members, gens):
-        row[[column[rep] for rep in g]] = True
-    generated = np.array([[_generated(q, rep, g) for g in gens] for rep in modules])
+        row[g] = True
+    bases = _image_bases(q, modules)
+    generated = np.array(
+        [[_fills(x, per_g, g) for g in gens] for x, per_g in zip(modules, bases)]
+    )
     leq = ~(members @ ~generated)
     return assemble_poset(realized, leq, complete=True, height_bound=None)
 

@@ -284,6 +284,31 @@ class TestCli:
             assert check["ok"] is (None if check["name"] in skipped else True)
             assert ("skipped" in check) == (check["name"] in skipped)
 
+    def test_verify_under_height_bound_skips_stilt_match(self, capsys, quiver_file, a3):
+        # The bound leaves 5 of A3's 14 clusters: the order axioms are still
+        # checked, but the generation order needs every cluster.
+        path = quiver_file("a3.quiver", a3)
+        assert main(["verify", "--quiver", path, "--bound", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[-1] == "ok"
+        assert any(line.startswith("PASS cluster-poset: axioms hold on 5 clusters")
+                   for line in lines)
+        assert any(line.startswith("SKIP stilt-match: ") for line in lines)
+        assert not any(line.startswith("FAIL") for line in lines)
+
+    def test_verify_json_under_height_bound(self, capsys, quiver_file, a3):
+        path = quiver_file("a3.quiver", a3)
+        argv = ["verify", "--quiver", path, "--bound", "1", "--format", "json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True
+        checks = {c["name"]: c for c in payload["checks"]}
+        assert checks["stilt-match"]["ok"] is None
+        assert checks["stilt-match"]["skipped"] is True
+        assert checks["cluster-poset"]["ok"] is True
+
     def test_internal_error_exits_3_on_one_line(self, capsys, monkeypatch):
         def broken(args):
             raise RuntimeError("internal error: invariant broken")

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schur_clusters.linalg import nullspace, rank
+from schur_clusters.linalg import echelon_basis, nullspace, rank
 
 from oracles import nullspace_oracle, rank_oracle
 
@@ -48,6 +48,12 @@ class TestAgainstFractionElimination:
         assert r == rank_oracle(rows, ncols)
         assert basis == nullspace_oracle(rows, ncols)
         assert r + len(basis) == ncols
+        # The forward-only basis spans the row space: as many rows as the
+        # rank, and adding them to the input does not raise it.
+        rows_basis = echelon_basis(rows, ncols)
+        assert len(rows_basis) == r
+        assert all(type(v) is int for row in rows_basis for v in row)
+        assert rank_oracle(rows + rows_basis, ncols) == r
         for vec in basis:
             assert len(vec) == ncols
             assert all(type(v) is Fraction for v in vec)
@@ -65,6 +71,22 @@ class TestExamples:
         # null vector, (-1, ..., -1, 1).
         rows = [row + [sum(row)] for row in hilbert]
         assert nullspace(rows, n + 1) == [(Fraction(-1),) * n + (Fraction(1),)]
+
+    def test_tall_rank_deficient_block(self):
+        # Twelve rows in three columns, all combinations of two rows with
+        # Fraction coefficients: rank 2, whichever row comes first.
+        x = [2, -1, 3]
+        y = [Fraction(1, 2), 4, 0]
+        rows = [[0, 0, 0]] + [
+            [Fraction(a) * u + Fraction(b, 3) * v for u, v in zip(x, y)]
+            for a, b in ((0, 1), (1, 0), (2, -3), (-1, 1), (5, 5), (0, 0),
+                         (3, 0), (1, 1), (-4, 2), (0, -6), (7, 1))
+        ]
+        assert len(rows) == 12
+        assert rank(rows, 3) == rank_oracle(rows, 3) == 2
+        assert rank(rows[::-1], 3) == 2
+        assert len(echelon_basis(rows, 3)) == 2
+        assert nullspace(rows, 3) == nullspace_oracle(rows, 3)
 
     def test_empty_inputs(self):
         assert rank([], 0) == 0

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import schur_clusters
 from schur_clusters import (
     Quiver,
     cluster_poset,
@@ -25,6 +28,15 @@ from schur_clusters import (
 )
 
 D4_CENTRE = Quiver(4, [(1, 2), (2, 3), (2, 4)])
+D4_SOURCE = Quiver(4, [(1, 2), (1, 3), (1, 4)])
+A5 = Quiver(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+SMALL_QUIVERS = (
+    Quiver(1, []),
+    Quiver(2, [(1, 2)]),
+    Quiver(3, [(1, 2), (3, 2)]),
+    Quiver(2, [(1, 2), (1, 2)]),
+    Quiver(3, [(1, 2), (1, 2), (2, 3)]),
+)
 
 
 def simple_rep(q, i):
@@ -101,6 +113,35 @@ class TestHomExt:
         assert ext_dim(kronecker, m, n) == 0
         assert hom_dim(kronecker, m, m) == 1
         assert ext_dim(kronecker, m, m) == 1
+
+
+@st.composite
+def representation_pairs(draw):
+    """A small quiver (Kronecker and the wild 1 2; 1 2; 2 3 among them) and
+    two representations with entries in -2..2, zero-heavy so that
+    decomposable and degenerate modules are common."""
+    q = draw(st.sampled_from(SMALL_QUIVERS))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
+
+    def rep():
+        dims = draw(st.lists(st.integers(0, 2), min_size=q.n, max_size=q.n))
+        mats = [
+            [draw(st.lists(entries, min_size=dims[s - 1], max_size=dims[s - 1]))
+             for _ in range(dims[t - 1])]
+            for s, t in q.arrows
+        ]
+        return make_representation(q, dims, mats)
+
+    return q, rep(), rep()
+
+
+class TestHomDimByRank:
+    @settings(max_examples=60, deadline=None)
+    @given(representation_pairs())
+    def test_hom_dim_is_basis_length(self, case):
+        q, m, n = case
+        assert hom_dim(q, m, n) == len(hom_basis(q, m, n))
+        assert hom_dim(q, n, m) == len(hom_basis(q, n, m))
 
 
 def proj_dim(q, i):
@@ -220,6 +261,16 @@ class TestStiltPoset:
             ]
             assert sp.leq.tolist() == expected
 
+    def test_elements_equal_per_cluster_realization(self):
+        # Sampling each variable once gives the modules realize_cluster
+        # gives for each cluster on its own.
+        for q in (D4_SOURCE, D4_CENTRE, A5):
+            sp = stilt_poset(q, seed=3)
+            clusters = enumerate_clusters(q).items
+            assert len(sp.elements) == len(clusters)
+            for ml, c in zip(sp.elements, clusters):
+                assert ml == realize_cluster(q, c, seed=3)
+
     def test_element_labels_align_with_clusters(self, a2):
         sp = stilt_poset(a2)
         cp = cluster_poset(a2)
@@ -283,3 +334,14 @@ class TestComparePosets:
         assert same
         with pytest.raises(errors.SizeMismatch):
             compare_posets(cp, cp, mapping=[0, 0, 1, 2, 3])
+
+
+class TestCounterSources:
+    def test_traced_benchmark_counters_exist(self, a3):
+        # The traced benchmark run reads these two sources by name through
+        # the package namespace; dropping one leaves its counters absent.
+        schur_clusters.e_invariant(a3, (1, 0, 0), (0, 1, 0))
+        stats = schur_clusters.e_cache_stats(a3)
+        assert {"pairs", "hits", "misses", "summand_sets"} <= set(stats)
+        info = schur_clusters.hom_basis.cache_info()._asdict()
+        assert {"hits", "misses"} <= set(info)
