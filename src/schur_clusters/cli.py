@@ -163,8 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["auto", "dp", "backtrack"],
         default="auto",
-        help="auto and dp run the cover-frontier dynamic program; backtrack "
-        "runs the plain search kept as its cross-check (default auto)",
+        help="auto and dp contract the cluster poset's zeta matrix along the "
+        "source's covers in exact float64 digits, refused with limit-exceeded "
+        "when an array would pass 2^23 cells; backtrack runs the plain search kept "
+        "as its cross-check (default auto)",
     )
     _add_format(p, ["text", "json"], "text")
 

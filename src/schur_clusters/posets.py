@@ -1,17 +1,19 @@
 """Finite posets and monotone map counting.
 
-The counting model for torsion classes over a base ring with finite prime
-spectrum: torsion classes correspond to order-preserving maps from the
-spectrum poset into the cluster poset of the quiver.  Counting runs a
-dynamic program over the cover relation of the source, whose frontier holds
-only elements with an upper cover still to place; a plain backtracking
-search over the same linear extension is the cross-check, and the two must
-agree.
+Torsion classes over a base ring with finite prime spectrum correspond to
+order-preserving maps from the spectrum poset into the cluster poset of
+the quiver.  Counting contracts the codomain's zeta matrix Z along a
+linear extension of the source (Stanley, Enumerative Combinatorics I,
+3.12), with one array axis per placed element that still has an upper
+cover to place.  Counts are exact: each is held in float64 digits of
+base 2^b, as many as |L|^|P| needs, with |L|·2^b < 2^52.  Arrays over
+``CELL_LIMIT`` cells, digits included, are refused with LimitExceeded
+up front, even where a sparse search could run.  A backtracking search over the
+same linear extension is the cross-check.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,11 @@ from .errors import (
     SizeMismatch,
 )
 from .quiver import Quiver, topological_sort
+
+# The largest array a count may allocate: 2^23 float64 cells (64 MiB), as
+# large as einv's table for its largest box.  A step holds up to about
+# three arrays of that size at once.
+CELL_LIMIT = 2**23
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +49,7 @@ class FinitePoset:
 
 def _closure(mat: np.ndarray) -> np.ndarray:
     out = mat.copy()
-    n = len(out)
-    for k in range(n):
+    for k in range(len(out)):
         out |= np.outer(out[:, k], out[k, :])
     return out
 
@@ -123,12 +129,8 @@ def covers_of(p: FinitePoset) -> tuple[tuple[int, int], ...]:
 
 def is_monotone(f, p: FinitePoset, l: FinitePoset) -> bool:
     """Does the assignment f (list of l-indices, one per p-element) preserve order?"""
-    f = _check_map(f, p, l)
-    for i in range(p.n):
-        for j in range(p.n):
-            if p.leq[i, j] and not l.leq[f[i], f[j]]:
-                return False
-    return True
+    f = list(_check_map(f, p, l))
+    return bool((l.leq[np.ix_(f, f)] | ~p.leq).all())
 
 
 def _check_map(f, p: FinitePoset, l: FinitePoset):
@@ -141,38 +143,47 @@ def _check_map(f, p: FinitePoset, l: FinitePoset):
     return f
 
 
-def _count_backtracking(p: FinitePoset, l: FinitePoset) -> int:
+def _monotone_walk(p: FinitePoset, l: FinitePoset):
+    """Yield every monotone map p -> l, backtracking along a linear extension.
+
+    The yielded list, indexed by p's elements, is reused: copy it to keep it.
+    """
     order = topological_sort(p.n, covers_of(p))
-    preds = [
-        [j for j in range(k) if p.leq[order[j], order[k]]] for k in range(p.n)
-    ]
-    lleq = l.leq
+    preds = [[c for c in order[:k] if p.leq[c, e]] for k, e in enumerate(order)]
     assign = [0] * p.n
 
     def rec(k):
         if k == p.n:
-            return 1
-        total = 0
+            yield assign
+            return
         for v in range(l.n):
-            if all(lleq[assign[j], v] for j in preds[k]):
-                assign[k] = v
-                total += rec(k + 1)
-        return total
+            if all(l.leq[assign[j], v] for j in preds[k]):
+                assign[order[k]] = v
+                yield from rec(k + 1)
 
     return rec(0)
 
 
-def _count_dp(p: FinitePoset, l: FinitePoset) -> int:
-    """Frontier DP over the cover relation of p, along a linear extension.
+def _carry(t: np.ndarray, base: float) -> np.ndarray:
+    """Bring each digit on t's axis 0 below base, carrying upward; exact."""
+    for i in range(len(t) - 1):
+        up = np.floor(t[i] / base)
+        t[i] -= up * base
+        t[i + 1] += up
+    return t
 
-    A map is monotone on every pair of p once it is monotone on every
-    cover, because l is transitive.  So an element only constrains its
-    upper covers, and it leaves the frontier once the last of them has
-    been placed; states are the value tuples on that frontier.  The values
-    allowed for the next element are the AND of the up-sets of its lower
-    covers' values, each an int bitset over l.  An element that does not
-    stay on the frontier multiplies a state's count by the number of
-    allowed values instead of branching on them.  Counts are exact ints.
+
+def _count_contraction(p: FinitePoset, l: FinitePoset) -> int:
+    """Sum over all maps f of the product of Z[f(i), f(j)] over covers i < j.
+
+    t counts the ways to place the elements already summed out, per value
+    of each frontier element.  Placing e is a product with Z on the axis of
+    a lower cover whose last upper cover is e (its axis becomes e's), else
+    a new axis, and a mask Z[c, e] per other lower cover c; then the axes
+    of elements with no upper cover left are summed out, one at a time.
+    No count exceeds |l|^|p|, so t holds each in that many base-2^b digits
+    on its axis 0; a product or a one-axis sum makes digits below
+    |l|·2^b < 2^52, exact in float64, and carrying brings them below 2^b.
     """
     covers = covers_of(p)
     order = topological_sort(p.n, covers)
@@ -182,45 +193,58 @@ def _count_dp(p: FinitePoset, l: FinitePoset) -> int:
     for i, j in covers:
         lower[j].append(i)
         last_upper[i] = max(last_upper[i], step[j])
-    rows = np.packbits(l.leq, axis=1, bitorder="little")
-    up = [int.from_bytes(row.tobytes(), "little") for row in rows]
-    everything = (1 << l.n) - 1
-    frontier: list[int] = []
-    states = {(): 1}
+    width = axes = 0
     for k, e in enumerate(order):
-        slots = [frontier.index(c) for c in lower[e]]
-        kept = [s for s, c in enumerate(frontier) if last_upper[c] > k]
-        stays = last_upper[e] > k
-        new_states: dict[tuple, int] = defaultdict(int)
-        for state, cnt in states.items():
-            allowed = everything
-            for s in slots:
-                allowed &= up[state[s]]
-            rest = tuple(state[s] for s in kept)
-            if not stays:
-                if allowed:
-                    new_states[rest] += cnt * allowed.bit_count()
-                continue
-            while allowed:
-                low = allowed & -allowed
-                new_states[rest + (low.bit_length() - 1,)] += cnt
-                allowed ^= low
-        states = new_states
-        frontier = [frontier[s] for s in kept] + ([e] if stays else [])
-    return sum(states.values())
+        lower[e].sort(key=lambda c: last_upper[c] != k)
+        leaves = sum(last_upper[c] == k for c in lower[e])
+        axes = max(axes, width + (leaves == 0))
+        width += (last_upper[e] > k) - leaves
+    b = 52 - l.n.bit_length()
+    digits = -(-(l.n**p.n).bit_length() // b) or 1
+    cells = digits * l.n**axes
+    if cells > CELL_LIMIT:
+        raise LimitExceeded(
+            f"counting monotone maps needs an array of {digits}·{l.n}^{axes} = "
+            f"{cells} cells, over the limit of {CELL_LIMIT}",
+            cells=cells,
+            limit=CELL_LIMIT,
+        )
+    zeta, outside = l.leq.astype(np.float64), ~l.leq
+    t = np.zeros(digits)
+    t[0] = 1
+    frontier: list[int] = []
+    for k, e in enumerate(order):
+        below = lower[e]
+        if below and last_upper[below[0]] == k:
+            t = np.tensordot(t, zeta, ([1 + frontier.index(below[0])], [0]))
+            t = _carry(t, 2.0**b)
+            frontier.remove(below[0])
+            below = below[1:]
+        else:
+            t = t[..., None] * np.ones(l.n)
+        frontier.append(e)
+        for c in below:
+            shape = [1] * t.ndim
+            shape[1 + frontier.index(c)] = shape[-1] = l.n
+            np.copyto(t, 0, where=outside.reshape(shape))
+        for a in reversed(range(len(frontier))):
+            if last_upper[frontier[a]] <= k:
+                t = _carry(t.sum(axis=1 + a), 2.0**b)
+                del frontier[a]
+    return sum(int(d) << (b * i) for i, d in enumerate(t))
 
 
 def count_monotone_maps(p: FinitePoset, l: FinitePoset, method: str = "auto") -> int:
     """Number of order-preserving maps p -> l.
 
-    method: 'auto' or 'dp' (the cover-frontier dynamic program), or
-    'backtrack' (a plain search over a linear extension, kept as the
-    cross-check).
+    method: 'auto' or 'dp' (the zeta-matrix contraction, which raises
+    LimitExceeded past CELL_LIMIT cells), or 'backtrack' (a plain search
+    over a linear extension, kept as the cross-check).
     """
     if method in ("auto", "dp"):
-        return _count_dp(p, l)
+        return _count_contraction(p, l)
     if method == "backtrack":
-        return _count_backtracking(p, l)
+        return sum(1 for _ in _monotone_walk(p, l))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -235,31 +259,7 @@ def enumerate_monotone_maps(p: FinitePoset, l: FinitePoset, limit: int = 100000)
         raise LimitExceeded(
             f"{total} monotone maps exceed the limit {limit}", count=total
         )
-    lleq = l.leq
-    pleq = p.leq
-    out = []
-    assign = [-1] * p.n
-
-    def rec(i):
-        if i == p.n:
-            out.append(tuple(assign))
-            return
-        for v in range(l.n):
-            ok = True
-            for j in range(i):
-                if pleq[j, i] and not lleq[assign[j], v]:
-                    ok = False
-                    break
-                if pleq[i, j] and not lleq[v, assign[j]]:
-                    ok = False
-                    break
-            if ok:
-                assign[i] = v
-                rec(i + 1)
-        assign[i] = -1
-
-    rec(0)
-    return out
+    return sorted(tuple(f) for f in _monotone_walk(p, l))
 
 
 def map_poset_leq(f, g, p: FinitePoset, l: FinitePoset) -> bool:

@@ -4,15 +4,19 @@ Everything here recomputes expected values from first principles with
 deliberately different algorithms than the package: box scans instead of
 reflection orbits, exhaustive function enumeration instead of dynamic
 programming, direct path counting instead of linear recursions, Fraction
-Gauss–Jordan instead of fraction-free integer elimination.  Test modules
+Gauss–Jordan instead of fraction-free integer elimination, a sparse dict
+frontier instead of a dense zeta-matrix contraction.  Test modules
 freeze values produced by these oracles and compare the package against
 them.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 
 def euler_matrix_oracle(n: int, arrows) -> list[list[int]]:
@@ -107,6 +111,74 @@ def multichains_oracle(l_leq, k: int) -> int:
     for _ in range(k - 1):
         vec = [sum(vec[j] for j in range(n) if l_leq[i][j]) for i in range(n)]
     return sum(vec)
+
+
+def frontier_dp_oracle(p_leq, l_leq) -> int:
+    """Count monotone maps by a dynamic program over a dict of frontier states.
+
+    The reference for ``posets``' dense zeta-matrix contraction, which
+    walks the same frontier.  Elements are placed by increasing down-set
+    size, a linear extension.  A map is monotone once it is monotone on
+    every cover, because l is transitive, so an element only constrains
+    its upper covers and leaves the frontier once the last of them has
+    been placed; states are the value tuples on that frontier.  The values
+    allowed for the next element are the AND of the up-sets of its lower
+    covers' values, each an int bitset over l.  An element that does not
+    stay on the frontier multiplies a state's count by the number of
+    allowed values instead of branching on them.  Counts are exact ints.
+    """
+    n, m = len(p_leq), len(l_leq)
+
+    def less(i, j):
+        return i != j and p_leq[i][j]
+
+    order = sorted(range(n), key=lambda j: sum(p_leq[i][j] for i in range(n)))
+    step = {e: k for k, e in enumerate(order)}
+    lower = [
+        [i for i in range(n)
+         if less(i, j) and not any(less(i, c) and less(c, j) for c in range(n))]
+        for j in range(n)
+    ]
+    last_upper = [-1] * n
+    for j in range(n):
+        for i in lower[j]:
+            last_upper[i] = max(last_upper[i], step[j])
+    up = [sum(1 << b for b in range(m) if l_leq[a][b]) for a in range(m)]
+    everything = (1 << m) - 1
+    frontier: list[int] = []
+    states = {(): 1}
+    for k, e in enumerate(order):
+        slots = [frontier.index(c) for c in lower[e]]
+        kept = [s for s, c in enumerate(frontier) if last_upper[c] > k]
+        stays = last_upper[e] > k
+        new_states: dict[tuple, int] = defaultdict(int)
+        for state, cnt in states.items():
+            allowed = everything
+            for s in slots:
+                allowed &= up[state[s]]
+            rest = tuple(state[s] for s in kept)
+            if not stays:
+                if allowed:
+                    new_states[rest] += cnt * allowed.bit_count()
+                continue
+            while allowed:
+                low = allowed & -allowed
+                new_states[rest + (low.bit_length() - 1,)] += cnt
+                allowed ^= low
+        states = new_states
+        frontier = [frontier[s] for s in kept] + ([e] if stays else [])
+    return sum(states.values())
+
+
+def diamonds_oracle(l_leq) -> int:
+    """Monotone maps from the diamond a < b, c < d into L: sum((Z Z) o (Z Z)).
+
+    (Z Z)[a, d] counts the b with a <= b <= d, and b and c are chosen
+    independently.  Z Z is an int64 product whose entries are at most |L|;
+    the squares are summed as Python ints, so no step can wrap.
+    """
+    zeta = np.array(l_leq, dtype=np.int64)
+    return sum(v * v for v in (zeta @ zeta).ravel().tolist())
 
 
 def random_poset_matrix(rng, n: int) -> list[list[bool]]:

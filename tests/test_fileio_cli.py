@@ -202,6 +202,19 @@ class TestCli:
         assert main(["torsion-count", "--quiver", qpath, "--poset", str(ppath)]) == 0
         assert capsys.readouterr().out == "5\n"
 
+    def test_torsion_count_wide_source_exits_1(self, capsys, quiver_file, a2, tmp_path):
+        # Eleven minimal elements under one top: the count would hold an
+        # array of 5^11 cells over A2's five clusters, so it is refused.
+        qpath = quiver_file("a2.quiver", a2)
+        ppath = tmp_path / "wide.poset"
+        ppath.write_text("n 12\n" + "".join(f"{i} 12\n" for i in range(1, 12)))
+        argv = ["torsion-count", "--quiver", qpath, "--poset", str(ppath)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[limit-exceeded]: ")
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["roots", "--quiver", "/nonexistent.quiver"]) == 2
         assert "error[io]" in capsys.readouterr().err

@@ -2,11 +2,11 @@
 
 import os
 import random
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schur_clusters import (
@@ -22,10 +22,13 @@ from schur_clusters import (
     errors,
     is_monotone,
     map_poset_leq,
+    posets,
     torsion_class_count,
 )
 
 from oracles import (
+    diamonds_oracle,
+    frontier_dp_oracle,
     monotone_maps_bruteforce,
     multichains_oracle,
     random_poset_matrix,
@@ -60,6 +63,30 @@ def rand_shuffled_poset(rng, sizes):
         ]
         base += k
     return build_poset(n, relation=pairs)
+
+
+def source_poset(rng, shape, n):
+    """A random source of n elements, relabelled by a random permutation.
+
+    ``diamond`` is a bottom below n - 2 pairwise incomparable middles below
+    a top (a chain when n < 3); ``forest`` hangs each element under a random
+    earlier one or makes it a root; ``random`` is two random components.
+    """
+    if shape == "random":
+        split = rng.randint(0, n)
+        return rand_shuffled_poset(rng, (split, n - split))
+    if shape == "antichain":
+        covers = []
+    elif shape == "diamond" and n > 2:
+        mids = range(1, n - 1)
+        covers = [(0, m) for m in mids] + [(m, n - 1) for m in mids]
+    elif shape == "diamond":
+        covers = [(i, i + 1) for i in range(n - 1)]
+    else:
+        covers = [(rng.randrange(j), j) for j in range(1, n) if rng.random() < 0.7]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_poset(n, covers=[(perm[i], perm[j]) for i, j in covers])
 
 
 def zeta(l):
@@ -140,6 +167,8 @@ class TestMonotone:
     def test_antichain_counts_functions(self):
         assert count_monotone_maps(antichain(3), chain(2)) == 8
         assert count_monotone_maps(chain(3), antichain(2)) == 2
+        assert count_monotone_maps(antichain(0), antichain(0)) == 1
+        assert count_monotone_maps(chain(2), antichain(0)) == 0
 
     def test_methods_agree_with_bruteforce(self):
         rng = random.Random(20260815)
@@ -156,18 +185,66 @@ class TestMonotone:
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2**30),
-        st.integers(0, 6),
-        st.integers(0, 6),
+        st.sampled_from(["random", "antichain", "diamond", "forest"]),
+        st.integers(0, 7),
         st.integers(0, 7),
     )
-    def test_dp_equals_backtracking(self, seed, size, split, codomain):
+    @example(0, "antichain", 0, 3)
+    @example(1, "antichain", 7, 4)
+    @example(2, "diamond", 7, 4)
+    @example(3, "forest", 7, 4)
+    @example(4, "random", 7, 4)
+    @example(5, "antichain", 7, 7)
+    def test_dp_equals_backtracking(self, seed, shape, size, codomain):
+        # The contraction against the frontier-dict DP and the backtracking
+        # walk; every example also tries the codomains of sizes 0 and 1.
         rng = random.Random(seed)
-        split = min(split, size)
-        p = rand_shuffled_poset(rng, (split, size - split))
-        l = rand_shuffled_poset(rng, (codomain,))
-        assert count_monotone_maps(p, l, method="dp") == count_monotone_maps(
-            p, l, method="backtrack"
-        )
+        p = source_poset(rng, shape, size)
+        for l in (rand_shuffled_poset(rng, (codomain,)), antichain(0), chain(1)):
+            expected = frontier_dp_oracle(zeta(p), zeta(l))
+            assert count_monotone_maps(p, l, method="dp") == expected
+            assert count_monotone_maps(p, l, method="backtrack") == expected
+
+    def test_exact_past_float64(self):
+        # Each count is odd and above 2^53, so no float64 holds it; t holds
+        # 2 or 3 digits.
+        c101 = chain(101)
+        four_tail = [(5, 6), (5, 7), (6, 8), (7, 8)]  # a diamond placed last
+        diamond_maps = sum((d - a + 1) ** 2 for d in range(101) for a in range(d + 1))
+        cases = [
+            (antichain(8), 101**8),
+            (build_poset(9, covers=[(7, 8)]), 101**7 * comb(102, 2)),
+            (build_poset(9, covers=four_tail), 101**5 * diamond_maps),
+            (chain(16), comb(116, 16)),
+        ]
+        for p, expected in cases:
+            got = count_monotone_maps(p, c101)
+            assert got > 2**53 and expected % 2 == 1
+            assert type(got) is int and got == expected
+        assert frontier_dp_oracle(zeta(cases[2][0]), zeta(c101)) == cases[2][1]
+
+    def test_wide_frontier_refused_before_counting(self):
+        # k minimal elements under one top need a 5^k-cell array: 5^10 cells
+        # are over the limit, 5^9 are not.
+        wide = build_poset(11, covers=[(i, 10) for i in range(10)])
+        with pytest.raises(errors.LimitExceeded) as info:
+            count_monotone_maps(wide, antichain(5))
+        assert info.value.info["cells"] == 5**10 > posets.CELL_LIMIT
+        narrower = build_poset(10, covers=[(i, 9) for i in range(9)])
+        assert count_monotone_maps(narrower, antichain(5)) == 5
+
+    def test_limit_counts_every_digit(self):
+        # A chain of c more elements leaves the 5^9-cell frontier alone but
+        # raises the bound 5^(10 + c) on the count: 2 digits of 2^49 for
+        # c = 12, 5 digits (over the limit) for c = 75.
+        def wide_and_chain(c):
+            tail = [(j, j + 1) for j in range(10, 9 + c)]
+            return build_poset(10 + c, covers=[(i, 9) for i in range(9)] + tail)
+
+        assert count_monotone_maps(wide_and_chain(12), antichain(5)) == 25
+        with pytest.raises(errors.LimitExceeded) as info:
+            count_monotone_maps(wide_and_chain(75), antichain(5))
+        assert info.value.info["cells"] == 5 * 5**9 > posets.CELL_LIMIT
 
     def test_enumerate_matches_count(self):
         p = chain(3)
@@ -222,6 +299,16 @@ class TestClosedForms:
         target = as_finite_poset(cluster_poset(e6))
         assert torsion_class_count(e6, chain(3)) == 3532853
         assert multichains_oracle(zeta(target), 3) == 3532853
+
+    @pytest.mark.skipif(
+        not os.environ.get("SCHUR_CLUSTERS_LARGE"),
+        reason="stretch target; set SCHUR_CLUSTERS_LARGE=1 to run",
+    )
+    def test_e6_diamond_stretch(self, e6):
+        diamond = build_poset(4, covers=[(0, 1), (0, 2), (1, 3), (2, 3)])
+        target = as_finite_poset(cluster_poset(e6))
+        assert torsion_class_count(e6, diamond) == 424974105
+        assert diamonds_oracle(zeta(target)) == 424974105
 
 
 class TestTorsionCounts:
