@@ -18,13 +18,14 @@ representations of quivers", Proc. LMS 1992).
 The sets S(w) are filled bottom-up over the box 0 <= w <= top below a
 queried vector, with a bool table Z[a, b] = (e(a, b) == 0) over pairs of
 box cells.  Cells are visited in C order, which lists every a <= w before
-w.  S(w) is the a <= w with Z[a, w - a], one gather since
-idx(w - a) = idx(w) - idx(a), plus w itself (e(w, 0) = 0).  Then the left
-one-sided form gives row w at once: Z[w, b] = (min over x' in S(w) of
-<x', b>) >= 0, one product of S(w) with the cells b <= top - w, the only
-columns a later gather reads.  Each S(w) is kept per quiver, so a later
-box only recomputes its Z rows.  Boxes of more than ``BOX_LIMIT`` cells
-are refused before anything is allocated.
+w.  Z[a, w - a] sits at idx(w) + idx(a) * (cells - 1), idx being linear,
+so one strided view of Z holds each anti-diagonal as a box and S(w) is
+the sub-box a <= w masked by it (w itself is kept: e(w, 0) = 0).  Then
+the left one-sided form gives row w at once: Z[w, b] = (min over x' in
+S(w) of <x', b>) >= 0, one product of S(w) with the sub-box b <= top - w,
+the only columns a later read needs.  Each S(w) is kept per quiver, so a
+later box only recomputes its Z rows.  Boxes of more than ``BOX_LIMIT``
+cells are refused before anything is allocated.
 
 The fill uses only the left one-sided form.  ``e_invariant`` still takes
 the two-sided maximum over S(x) x S(y), the definition itself, and
@@ -52,18 +53,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import LimitExceeded, NotDynkin, ProbeExhausted
-from .quiver import (
-    DimVec,
-    Quiver,
-    RootSet,
-    positive_real_roots,
-    root_key,
-    tits_form,
-)
+from .quiver import DimVec, Quiver, RootSet, positive_real_roots, root_key, tits_form
 
 # Largest box (number of cells 0 <= w <= top) one fill may cover.  The Z
 # table holds one byte per pair of cells, so this caps it at 64 MiB.
@@ -127,6 +122,14 @@ def e_cache_stats(q: Quiver) -> dict:
     }
 
 
+def clear_caches() -> None:
+    """Empty every per-quiver E memo and the ``reps.hom_basis`` cache."""
+    from . import reps  # deferred: reps pulls in the cluster machinery
+
+    _MEMOS.clear()
+    reps.hom_basis.cache_clear()
+
+
 def _check_exact(memo: _Memo, h1: int, h2: int) -> None:
     """Refuse a product whose entries might not be exact.
 
@@ -162,31 +165,28 @@ def _fill(memo: _Memo, top: DimVec) -> None:
             limit=BOX_LIMIT,
         )
     _check_exact(memo, sum(top), sum(top))
-    box = np.indices(shape, dtype=np.int64).reshape(len(top), cells).T
-    strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]
-
-    def below(v):
-        """C-order indices of the box cells <= v."""
-        idx = np.zeros(1, dtype=np.int64)
-        for vi, st in zip(v, strides):
-            idx = (idx[:, None] + np.arange(0, (vi + 1) * st, st)).ravel()
-        return idx
-
-    ebt = memo.emat.astype(np.float64) @ box.T
+    grid = np.indices(shape, dtype=np.int64)
+    box = np.moveaxis(grid, 0, -1)
+    ebt = np.tensordot(memo.emat.astype(np.float64), grid, 1)
     z = np.zeros((cells, cells), dtype=bool)
-    flat = z.reshape(-1)
-    for w_idx, w in enumerate(map(tuple, box.tolist())):
+    z[:, 0] = True  # e(a, 0) = 0: S(w) keeps w itself
+    rows = z.reshape((cells,) + shape)
+    # anti[w_idx][a] = Z[a, w - a], at w_idx + idx(a) * (cells - 1) in z.
+    # No offset reaches cells^2: the largest is (cells - 1) * cells.
+    steps = tuple(st * (cells - 1) for st in rows.strides[1:])
+    anti = np.lib.stride_tricks.as_strided(z, rows.shape, (1,) + steps, writeable=False)
+    # Per cell w in C order: the sub-box a <= w, and the sub-box b <= top - w
+    # (Z[w, b] is only ever read with w + b <= top).
+    belows = product(*([slice(a + 1) for a in range(m)] for m in shape))
+    rests = product(*([slice(m - a) for a in range(m)] for m in shape))
+    cuts = zip(product(*map(range, shape)), belows, rests)
+    for w_idx, (w, below, rest) in enumerate(cuts):
         s = memo.sets.get(w)
         if s is None:
-            sub = below(w)
-            # Z[a, w - a] sits at a * cells + (w_idx - a); the last sub cell
-            # is w itself, whose row is not filled yet.
-            keep = flat[sub * (cells - 1) + w_idx]
-            keep[-1] = True
-            s = memo.sets[w] = box[sub[keep]]
-        # Z[w, b] is only ever read with w + b <= top.
-        cols = below(tuple(t - a for t, a in zip(top, w)))
-        z[w_idx, cols] = (s @ ebt[:, cols]).min(axis=0) >= 0
+            s = memo.sets[w] = box[below][anti[(w_idx,) + below]]
+        cols = ebt[(slice(None),) + rest]
+        low = np.minimum.reduce(s @ cols.reshape(len(cols), -1))
+        rows[(w_idx,) + rest] = low.reshape(cols.shape[1:]) >= 0
 
 
 def _summands(memo: _Memo, x: DimVec) -> _Summands:

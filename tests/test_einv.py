@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 
 from schur_clusters import (
     Quiver,
+    clear_caches,
     e_cache_stats,
     e_invariant,
     e_invariant_alt,
     errors,
     euler_form,
     generic_summands,
+    hom_basis,
     is_real_schur_root,
     positive_real_roots,
     real_schur_roots,
+    sample_exceptional,
 )
 from schur_clusters import einv
 from schur_clusters.einv import (
@@ -95,7 +98,7 @@ class TestGenericSummands:
 
 @st.composite
 def small_quivers(draw):
-    n = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=0, max_value=4))
     arrows = []
     for _ in range(m):
@@ -200,6 +203,20 @@ def _box(top):
     return product(*(range(a + 1) for a in top))
 
 
+def _assert_both_fill_orders(q, first, second):
+    """Filling two boxes in either order stores the oracle's set for every
+    cell of their union, and for no other vector."""
+    oracle = PairRecursionOracle(q.n, q.arrows)
+    cells = set(_box(first)) | set(_box(second))
+    for order in ((first, second), (second, first)):
+        _MEMOS.pop(q, None)
+        for top in order:
+            generic_summands(q, top)
+        assert e_cache_stats(q)["summand_sets"] == len(cells)
+        for w in cells:
+            assert generic_summands(q, w) == oracle.summands(w), (order, w)
+
+
 class TestAgainstPairRecursion:
     """The bottom-up fill against the two-sided pair recursion."""
 
@@ -219,6 +236,9 @@ class TestAgainstPairRecursion:
         [
             (3, [(1, 2), (1, 2), (2, 3)], (5, 5, 5)),
             (2, [(1, 2), (1, 2)], (12, 12)),
+            (1, [], (9,)),
+            (2, [(1, 2), (1, 2)], (0, 7)),
+            (3, [(1, 2), (1, 2), (2, 3)], (2, 0, 3)),
         ],
     )
     def test_every_set_of_a_box(self, n, arrows, top):
@@ -231,14 +251,25 @@ class TestAgainstPairRecursion:
             assert generic_summands(q, w) == oracle.summands(w), w
 
     def test_fill_order_does_not_matter(self, wild):
-        small, large = (2, 3, 1), (4, 3, 4)
-        sets = []
-        for order in ((small, large), (large, small)):
-            _MEMOS.pop(wild, None)
-            for top in order:
-                generic_summands(wild, top)
-            sets.append({w: generic_summands(wild, w) for w in _box(large)})
-        assert sets[0] == sets[1]
+        _assert_both_fill_orders(wild, (2, 3, 1), (4, 3, 4))
+
+    def test_fill_order_of_incomparable_boxes(self):
+        # The second fill finds the overlap's sets stored and reuses them.
+        q = Quiver(4, [(1, 2), (1, 2), (2, 3), (4, 3), (1, 4)])
+        _assert_both_fill_orders(q, (2, 1, 3, 1), (1, 3, 1, 2))
+
+    @pytest.mark.skipif(
+        not os.environ.get("SCHUR_CLUSTERS_LARGE"),
+        reason="stretch target; set SCHUR_CLUSTERS_LARGE=1 to run",
+    )
+    def test_box_at_the_limit(self, kronecker):
+        # (63, 127) has exactly BOX_LIMIT cells, so the fill reads the
+        # anti-diagonal view at its largest offsets.
+        _MEMOS.pop(kronecker, None)
+        top = (63, 127)
+        e = e_invariant(kronecker, top, top)
+        assert e_invariant_alt(kronecker, top, top) == (e, e)
+        _MEMOS.pop(kronecker, None)
 
 
 class TestLimits:
@@ -286,6 +317,19 @@ class TestMemo:
         hits = mid["hits"]
         e_invariant(q, (2, 2), (2, 2))
         assert e_cache_stats(q)["hits"] > hits
+
+    def test_clear_caches(self, kronecker):
+        e_invariant(kronecker, (2, 3), (3, 2))
+        e_invariant(kronecker, (2, 3), (3, 2))
+        m = sample_exceptional(kronecker, (1, 2), seed=1)
+        hom_basis(kronecker, m, m)
+        assert e_cache_stats(kronecker)["hits"] > 0
+        assert hom_basis.cache_info().currsize > 0
+        clear_caches()
+        assert e_cache_stats(kronecker) == {
+            "pairs": 0, "summand_sets": 0, "hits": 0, "misses": 0
+        }
+        assert hom_basis.cache_info().currsize == 0
 
 
 class TestSchurRootCheck:
