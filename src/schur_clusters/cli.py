@@ -7,6 +7,11 @@ height bound, non-Dynkin input to an exact-only command, probe exhaustion,
 a non-precluster given to ``realize``, or a failed verification), 2 on
 unusable input (bad flags, malformed files or inline JSON), 3 when an
 internal invariant check fails (one ``error[internal]`` line, no traceback).
+
+``_COMMANDS`` describes each command once: its handler, its help string and
+its arguments.  ``main`` builds the parser of the command it is given and no
+other, since argparse setup would otherwise cost a small job more than its
+work; without a known command it builds them all.
 """
 
 from __future__ import annotations
@@ -46,6 +51,18 @@ def _vec(text: str):
         )
 
 
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def _meta(args, **extra) -> dict:
     meta = {"command": args.command, "threads": 1}
     for key in ("seed", "bound", "probe_budget", "box", "method"):
@@ -55,133 +72,55 @@ def _meta(args, **extra) -> dict:
     return meta
 
 
-def _add_quiver(p):
-    p.add_argument("--quiver", required=True, metavar="FILE", help="quiver text file")
+def _arg(*flags, **kwargs):
+    """One ``add_argument`` call, kept as data for the command table."""
+    return flags, kwargs
 
 
-def _add_bound(p):
-    p.add_argument("--bound", type=int, default=None, help="height bound for roots")
+def _format(*choices):
+    return _arg("--format", choices=list(choices), default=choices[0])
 
 
-def _add_seed(p):
-    p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+_QUIVER = _arg("--quiver", required=True, metavar="FILE", help="quiver text file")
+_BOUND = _arg("--bound", type=int, default=None, help="height bound for roots")
+_SEED = _arg("--seed", type=int, default=0, help="base seed (default 0)")
+_BUDGET = _arg(
+    "--probe-budget",
+    dest="probe_budget",
+    type=int,
+    default=8,
+    help="sampling attempts per vector (default 8)",
+)
+_LARGE = _arg(
+    "--allow-large",
+    dest="allow_large",
+    action="store_true",
+    help="permit enumerations beyond the desk-scale guard",
+)
 
 
-def _add_budget(p):
-    p.add_argument(
-        "--probe-budget",
-        dest="probe_budget",
-        type=int,
-        default=8,
-        help="sampling attempts per vector (default 8)",
-    )
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every command in ``_COMMANDS``, or for ``command`` alone.
 
-
-def _add_large(p):
-    p.add_argument(
-        "--allow-large",
-        dest="allow_large",
-        action="store_true",
-        help="permit enumerations beyond the desk-scale guard",
-    )
-
-
-def _add_format(p, choices, default):
-    p.add_argument("--format", choices=choices, default=default)
-
-
-def build_parser() -> argparse.ArgumentParser:
+    A command's usage, help, errors and Namespace come from its own
+    subparser, so both give the same output for it, save the top-level
+    usage line that argparse prints with "unrecognized arguments": the
+    ``metavar`` keeps every command name there.  The full parser keeps the
+    default, under which its own errors (no command, an unknown one) name
+    the ``command`` positional.
+    """
     ap = argparse.ArgumentParser(
         prog="schur-clusters",
         description="Real Schur roots, clusters and support tilting posets "
         "of acyclic quivers.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("roots", help="positive real roots")
-    _add_quiver(p)
-    _add_bound(p)
-    _add_format(p, ["json", "tsv"], "json")
-
-    p = sub.add_parser("schur", help="real Schur roots")
-    _add_quiver(p)
-    _add_bound(p)
-    _add_seed(p)
-    _add_budget(p)
-    _add_format(p, ["json", "tsv"], "json")
-
-    p = sub.add_parser("einv", help="extension invariant of a vector pair")
-    _add_quiver(p)
-    p.add_argument("--x", type=_vec, required=True, help="comma-separated entries")
-    p.add_argument("--y", type=_vec, required=True, help="comma-separated entries")
-    p.add_argument("--stats", action="store_true", help="include memo statistics")
-    _add_format(p, ["json"], "json")
-
-    p = sub.add_parser("preclusters", help="enumerate preclusters")
-    _add_quiver(p)
-    _add_bound(p)
-    _add_seed(p)
-    _add_budget(p)
-    _add_large(p)
-    p.add_argument("--positive-only", dest="positive_only", action="store_true")
-    _add_format(p, ["json", "tsv"], "json")
-
-    p = sub.add_parser("clusters", help="enumerate clusters")
-    _add_quiver(p)
-    _add_bound(p)
-    _add_seed(p)
-    _add_budget(p)
-    _add_large(p)
-    _add_format(p, ["json", "tsv"], "json")
-
-    p = sub.add_parser("poset", help="cluster poset with Hasse diagram")
-    _add_quiver(p)
-    _add_bound(p)
-    _add_seed(p)
-    _add_budget(p)
-    _add_large(p)
-    _add_format(p, ["json", "dot", "tsv"], "json")
-
-    p = sub.add_parser("stilt", help="support tilting poset from realized modules")
-    _add_quiver(p)
-    _add_seed(p)
-    _add_budget(p)
-    _add_format(p, ["json", "dot"], "json")
-
-    p = sub.add_parser("verify", help="cross-oracle self checks")
-    _add_quiver(p)
-    _add_bound(p)
-    _add_seed(p)
-    _add_budget(p)
-    p.add_argument("--box", type=int, default=2, help="entry bound for form sweeps")
-    _add_format(p, ["text", "json"], "text")
-
-    p = sub.add_parser("torsion-count", help="monotone maps into the cluster poset")
-    _add_quiver(p)
-    p.add_argument("--poset", required=True, metavar="FILE", help="poset text file")
-    p.add_argument(
-        "--method",
-        choices=["auto", "dp", "backtrack"],
-        default="auto",
-        help="auto and dp contract the cluster poset's zeta matrix along the "
-        "source's covers in exact float64 digits, refused with limit-exceeded "
-        "when an array would pass 2^23 cells; backtrack runs the plain search kept "
-        "as its cross-check (default auto)",
-    )
-    _add_format(p, ["text", "json"], "text")
-
-    p = sub.add_parser("realize", help="attach verified modules to a precluster")
-    _add_quiver(p)
-    _add_seed(p)
-    _add_budget(p)
-    p.add_argument(
-        "--vars",
-        required=True,
-        help='JSON list of cluster variables, e.g. '
-        '\'[{"type":"root","dim":[1,1]},{"type":"neg_simple","vertex":2}]\'',
-    )
-    _add_format(p, ["json"], "json")
-
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        _, help_, *specs = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flags, kwargs in specs:
+            p.add_argument(*flags, **kwargs)
     return ap
 
 
@@ -557,27 +496,86 @@ def cmd_verify(args):
     return "\n".join(lines) + "\n", code
 
 
+# Each command once: name -> (handler, help, *add_argument calls).
 _COMMANDS = {
-    "roots": cmd_roots,
-    "schur": cmd_schur,
-    "einv": cmd_einv,
-    "preclusters": cmd_preclusters,
-    "clusters": cmd_clusters,
-    "poset": cmd_poset,
-    "stilt": cmd_stilt,
-    "verify": cmd_verify,
-    "torsion-count": cmd_torsion_count,
-    "realize": cmd_realize,
+    "roots": (
+        cmd_roots, "positive real roots",
+        _QUIVER, _BOUND, _format("json", "tsv"),
+    ),
+    "schur": (
+        cmd_schur, "real Schur roots",
+        _QUIVER, _BOUND, _SEED, _BUDGET, _format("json", "tsv"),
+    ),
+    "einv": (
+        cmd_einv, "extension invariant of a vector pair",
+        _QUIVER,
+        _arg("--x", type=_vec, required=True, help="comma-separated entries"),
+        _arg("--y", type=_vec, required=True, help="comma-separated entries"),
+        _arg("--stats", action="store_true", help="include memo statistics"),
+        _format("json"),
+    ),
+    "preclusters": (
+        cmd_preclusters, "enumerate preclusters",
+        _QUIVER, _BOUND, _SEED, _BUDGET, _LARGE,
+        _arg("--positive-only", dest="positive_only", action="store_true"),
+        _format("json", "tsv"),
+    ),
+    "clusters": (
+        cmd_clusters, "enumerate clusters",
+        _QUIVER, _BOUND, _SEED, _BUDGET, _LARGE, _format("json", "tsv"),
+    ),
+    "poset": (
+        cmd_poset, "cluster poset with Hasse diagram",
+        _QUIVER, _BOUND, _SEED, _BUDGET, _LARGE, _format("json", "dot", "tsv"),
+    ),
+    "stilt": (
+        cmd_stilt, "support tilting poset from realized modules",
+        _QUIVER, _SEED, _BUDGET, _format("json", "dot"),
+    ),
+    "verify": (
+        cmd_verify, "cross-oracle self checks",
+        _QUIVER, _BOUND, _SEED, _BUDGET,
+        _arg("--box", type=_nonnegative, default=2, help="entry bound for form sweeps"),
+        _format("text", "json"),
+    ),
+    "torsion-count": (
+        cmd_torsion_count, "monotone maps into the cluster poset",
+        _QUIVER,
+        _arg("--poset", required=True, metavar="FILE", help="poset text file"),
+        _arg(
+            "--method",
+            choices=["auto", "dp", "backtrack"],
+            default="auto",
+            help="auto and dp contract the cluster poset's zeta matrix along the "
+            "source's covers in exact float64 digits, refused with limit-exceeded "
+            "when an array would pass 2^23 cells; backtrack runs the plain search "
+            "kept as its cross-check (default auto)",
+        ),
+        _format("text", "json"),
+    ),
+    "realize": (
+        cmd_realize, "attach verified modules to a precluster",
+        _QUIVER, _SEED, _BUDGET,
+        _arg(
+            "--vars",
+            required=True,
+            help='JSON list of cluster variables, e.g. '
+            '\'[{"type":"root","dim":[1,1]},{"type":"neg_simple","vertex":2}]\'',
+        ),
+        _format("json"),
+    ),
 }
 
 
 def run_command(args) -> tuple[str, int]:
-    return _COMMANDS[args.command](args)
+    return _COMMANDS[args.command][0](args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Build only the named command's parser; anything else gets the full one.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         text, code = run_command(args)
     except ParseError as exc:

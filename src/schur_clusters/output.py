@@ -100,7 +100,10 @@ def emit_json(payload) -> str:
             if all(type(v) is int for v in obj):
                 items = map(int.__repr__, obj)
             else:
-                items = (render(v, depth + 1) for v in obj)
+                # Inline memo hits: only dicts are memoised, and the payload
+                # keeps each alive, so an entry under id(v) is v's own text.
+                d = depth + 1
+                items = [memo.get((id(v), d)) or render(v, d) for v in obj]
             return _wrap("[", items, "]", depth)
         return json.dumps(obj)
 

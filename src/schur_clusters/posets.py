@@ -278,4 +278,5 @@ def torsion_class_count(q: Quiver, p: FinitePoset, method: str = "auto") -> int:
     """
     if not q.is_dynkin:
         raise NotDynkin("torsion class counting needs a Dynkin quiver")
-    return count_monotone_maps(p, as_finite_poset(cluster_poset(q)), method)
+    cp = cluster_poset(q)  # its leq is read-only; the count reads no labels
+    return count_monotone_maps(p, FinitePoset(len(cp.elements), cp.leq), method)

@@ -195,6 +195,17 @@ class TestCli:
         assert "FAIL" not in out
         assert out.strip().endswith("ok")
 
+    def test_verify_negative_box_exits_2(self, capsys, quiver_file, a2):
+        # A negative box sweeps no pair, so it must not pass as a check.
+        path = quiver_file("a2.quiver", a2)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--quiver", path, "--box", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: schur-clusters verify ")
+        assert "argument --box: expected a non-negative integer, got '-1'" in captured.err
+
     def test_torsion_count_text(self, capsys, quiver_file, a2, tmp_path):
         qpath = quiver_file("a2.quiver", a2)
         ppath = tmp_path / "p.poset"
@@ -326,7 +337,7 @@ class TestCli:
         def broken(args):
             raise RuntimeError("internal error: invariant broken")
 
-        monkeypatch.setitem(cli._COMMANDS, "roots", broken)
+        monkeypatch.setitem(cli._COMMANDS, "roots", (broken, *cli._COMMANDS["roots"][1:]))
         assert main(["roots", "--quiver", "unused.quiver"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -349,6 +360,21 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
 
+    def test_module_entry_point_help(self):
+        # main(None) reads sys.argv, which the in-process tests never reach.
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "schur_clusters", *argv],
+                capture_output=True, text=True,
+            )
+
+        top = run("--help")
+        assert top.returncode == 0, top.stderr
+        assert all(f"    {name} " in top.stdout for name in cli._COMMANDS)
+        sub = run("torsion-count", "--help")
+        assert sub.returncode == 0, sub.stderr
+        assert sub.stdout.startswith("usage: schur-clusters torsion-count ")
+
     def test_same_process_determinism(self, capsys, quiver_file, d4):
         path = quiver_file("d4.quiver", d4)
         outs = []
@@ -356,3 +382,69 @@ class TestCli:
             assert main(["poset", "--quiver", path]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+
+# A valid argv for each command; the one-command parser is compared with the
+# full one on it.
+_VALID_ARGV = {
+    "roots": ["--quiver", "q", "--bound", "3", "--format", "tsv"],
+    "schur": ["--quiver", "q", "--seed", "2", "--probe-budget", "4"],
+    "einv": ["--quiver", "q", "--x", "1,0", "--y", "0,1", "--stats"],
+    "preclusters": ["--quiver", "q", "--positive-only", "--allow-large"],
+    "clusters": ["--quiver", "q", "--bound", "2"],
+    "poset": ["--quiver", "q", "--format", "dot"],
+    "stilt": ["--quiver", "q", "--format", "dot"],
+    "verify": ["--quiver", "q", "--box", "1", "--format", "json"],
+    "torsion-count": ["--quiver", "q", "--poset", "p", "--method", "dp"],
+    "realize": ["--quiver", "q", "--vars", "[]"],
+}
+
+
+def _parse(parser, argv, capsys):
+    """The Namespace, or the exit code, stdout and stderr of the exit."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+class TestOneCommandParser:
+    def test_table_covers_every_command(self):
+        assert set(_VALID_ARGV) == set(cli._COMMANDS)
+        assert len(cli._COMMANDS) == 10
+
+    @pytest.mark.parametrize("cmd", list(_VALID_ARGV))
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            ["--help"],
+            [],
+            ["--bogus"],
+            ["--format", "xml"],
+            ["--quiver"],
+            ["--seed", "x"],
+            ["extra"],
+        ],
+        ids=["help", "valid", "unknown-flag", "bad-choice", "no-value", "bad-int",
+             "extra-positional"],
+    )
+    @pytest.mark.parametrize("columns", ["80", "47"])
+    def test_same_as_full_parser(self, cmd, tail, columns, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        argv = [cmd, *_VALID_ARGV[cmd], *tail]
+        one = _parse(cli.build_parser(cmd), argv, capsys)
+        full = _parse(cli.build_parser(), argv, capsys)
+        assert one == full
+        if tail == []:
+            assert one.command == cmd
+        else:
+            assert one[0] == (0 if tail == ["--help"] else 2)
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["-x"]])
+    def test_top_level_lists_every_command(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == (0 if argv == ["--help"] else 2)
+        assert "{" + ",".join(cli._COMMANDS) + "}" in captured.out + captured.err
