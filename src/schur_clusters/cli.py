@@ -26,6 +26,7 @@ from . import einv, fileio, output, posets, reps
 from .errors import (
     LimitExceeded,
     NotAPrecluster,
+    NotDynkin,
     ParseError,
     ProbeExhausted,
     SchurClustersError,
@@ -63,12 +64,11 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _meta(args, **extra) -> dict:
+def _meta(args) -> dict:
     meta = {"command": args.command, "threads": 1}
-    for key in ("seed", "bound", "probe_budget", "box", "method"):
+    for key in ("seed", "bound", "probe_budget", "box", "method", "positive_only"):
         if hasattr(args, key):
             meta[key] = getattr(args, key)
-    meta.update(extra)
     return meta
 
 
@@ -87,7 +87,7 @@ _SEED = _arg("--seed", type=int, default=0, help="base seed (default 0)")
 _BUDGET = _arg(
     "--probe-budget",
     dest="probe_budget",
-    type=int,
+    type=_nonnegative,
     default=8,
     help="sampling attempts per vector (default 8)",
 )
@@ -124,43 +124,44 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return ap
 
 
-def _gate_large(q, variables, allow_large):
-    if len(variables) > _LARGE_VARS and not allow_large:
+def _table(args) -> cl.ClusterTable:
+    """The quiver's cluster table under the command's bound, seed and budget,
+    refused past the desk-scale guard without --allow-large: after the
+    variables, before the table's clique search."""
+    q = fileio.parse_quiver_file(args.quiver)
+    table = cl.cluster_table(q, args.bound, args.seed, args.probe_budget)
+    size = len(table.variables)
+    if size > _LARGE_VARS and not args.allow_large:
         raise LimitExceeded(
-            f"{len(variables)} cluster variables exceed the desk-scale guard "
+            f"{size} cluster variables exceed the desk-scale guard "
             f"({_LARGE_VARS}); pass --allow-large to proceed",
-            variables=len(variables),
+            variables=size,
         )
+    return table
+
+
+def _roots_payload(args, rs):
+    if args.format == "tsv":
+        return output.emit_tsv(rs.roots), 0
+    payload = {
+        "meta": _meta(args),
+        "complete": rs.complete,
+        "height_bound": rs.height_bound,
+        "roots": [list(r) for r in rs.roots],
+    }
+    return output.emit_json(payload), 0
 
 
 def cmd_roots(args):
     q = fileio.parse_quiver_file(args.quiver)
-    rs = positive_real_roots(q, args.bound)
-    if args.format == "tsv":
-        return output.emit_tsv(rs.roots), 0
-    payload = {
-        "meta": _meta(args),
-        "complete": rs.complete,
-        "height_bound": rs.height_bound,
-        "roots": [list(r) for r in rs.roots],
-    }
-    return output.emit_json(payload), 0
+    return _roots_payload(args, positive_real_roots(q, args.bound))
 
 
 def cmd_schur(args):
     q = fileio.parse_quiver_file(args.quiver)
-    rs = einv.real_schur_roots(
-        q, bound=args.bound, seed=args.seed, budget=args.probe_budget
+    return _roots_payload(
+        args, einv.real_schur_roots(q, args.bound, args.seed, args.probe_budget)
     )
-    if args.format == "tsv":
-        return output.emit_tsv(rs.roots), 0
-    payload = {
-        "meta": _meta(args),
-        "complete": rs.complete,
-        "height_bound": rs.height_bound,
-        "roots": [list(r) for r in rs.roots],
-    }
-    return output.emit_json(payload), 0
 
 
 def cmd_einv(args):
@@ -181,37 +182,7 @@ def cmd_einv(args):
     return output.emit_json(payload), 0
 
 
-def cmd_preclusters(args):
-    q = fileio.parse_quiver_file(args.quiver)
-    variables = cl.cluster_variables(q, args.bound, args.seed, args.probe_budget)
-    _gate_large(q, variables, args.allow_large)
-    enum = cl.enumerate_preclusters(
-        q,
-        positive_only=args.positive_only,
-        bound=args.bound,
-        seed=args.seed,
-        budget=args.probe_budget,
-    )
-    if args.format == "tsv":
-        rows = [[cl.format_variable(v) for v in c] for c in enum.items]
-        return output.emit_tsv(rows), 0
-    payload = {
-        "meta": _meta(args, positive_only=args.positive_only),
-        "complete": enum.complete,
-        "height_bound": enum.height_bound,
-        "count": len(enum.items),
-        "preclusters": output.variables_to_json(enum.items),
-    }
-    return output.emit_json(payload), 0
-
-
-def cmd_clusters(args):
-    q = fileio.parse_quiver_file(args.quiver)
-    variables = cl.cluster_variables(q, args.bound, args.seed, args.probe_budget)
-    _gate_large(q, variables, args.allow_large)
-    enum = cl.enumerate_clusters(
-        q, bound=args.bound, seed=args.seed, budget=args.probe_budget
-    )
+def _enumeration_payload(args, key, enum):
     if args.format == "tsv":
         rows = [[cl.format_variable(v) for v in c] for c in enum.items]
         return output.emit_tsv(rows), 0
@@ -220,9 +191,20 @@ def cmd_clusters(args):
         "complete": enum.complete,
         "height_bound": enum.height_bound,
         "count": len(enum.items),
-        "clusters": output.variables_to_json(enum.items),
+        key: output.variables_to_json(enum.items),
     }
     return output.emit_json(payload), 0
+
+
+def cmd_preclusters(args):
+    table = _table(args)
+    enum = table.enumeration(table.preclusters(args.positive_only))
+    return _enumeration_payload(args, "preclusters", enum)
+
+
+def cmd_clusters(args):
+    table = _table(args)
+    return _enumeration_payload(args, "clusters", table.enumeration(table.clusters))
 
 
 def _poset_payload(args, cp, elements_json, groups):
@@ -246,17 +228,16 @@ def _poset_payload(args, cp, elements_json, groups):
 
 
 def cmd_poset(args):
-    q = fileio.parse_quiver_file(args.quiver)
-    variables = cl.cluster_variables(q, args.bound, args.seed, args.probe_budget)
-    _gate_large(q, variables, args.allow_large)
-    cp = cl.cluster_poset(q, bound=args.bound, seed=args.seed, budget=args.probe_budget)
+    cp = cl.cluster_poset(_table(args))
     elements = output.variables_to_json(cp.elements)
     return _poset_payload(args, cp, elements, cp.elements)
 
 
 def cmd_stilt(args):
     q = fileio.parse_quiver_file(args.quiver)
-    sp = reps.stilt_poset(q, seed=args.seed, budget=args.probe_budget)
+    if not q.is_dynkin:  # before the table, which would ask for a bound
+        raise NotDynkin("the support tilting poset needs a Dynkin quiver")
+    sp = reps.stilt_poset(cl.cluster_table(q), seed=args.seed, budget=args.probe_budget)
     groups = [ml.labels() for ml in sp.elements]
     elements = [
         [
@@ -336,13 +317,8 @@ def _verification_checks(q, args):
                 break
         if bad:
             break
-    checks.append(
-        (
-            "e-invariant-formulas",
-            bad is None,
-            f"{pairs} pairs in box {box}" if bad is None else f"mismatch at {bad}",
-        )
-    )
+    detail = f"{pairs} pairs in box {box}" if bad is None else f"mismatch at {bad}"
+    checks.append(("e-invariant-formulas", bad is None, detail))
 
     if q.is_dynkin:
         rs = positive_real_roots(q)
@@ -376,38 +352,27 @@ def _verification_checks(q, args):
             ),
             None,
         )
-        pairs = len(rs.roots) ** 2
-        checks.append(
-            (
-                "e-closed-form",
-                bad is None,
-                f"max(0, -<a, b>) equals e(a, b) on {pairs} root pairs"
-                if bad is None
-                else f"mismatch at {bad}",
-            )
-        )
+        detail = f"max(0, -<a, b>) equals e(a, b) on {len(rs.roots) ** 2} root pairs"
+        if bad is not None:
+            detail = f"mismatch at {bad}"
+        checks.append(("e-closed-form", bad is None, detail))
 
-    variables = cl.cluster_variables(q, args.bound, args.seed, args.probe_budget)
-    if len(variables) <= 22:
-        enum = cl.enumerate_clusters(q, args.bound, args.seed, args.probe_budget)
-        naive = cl.enumerate_clusters_naive(q, args.bound, args.seed, args.probe_budget)
-        ok = tuple(enum.items) == naive
-        checks.append(
-            ("cluster-count", ok, f"clique search and subset scan both give {len(naive)}")
-        )
+    table = cl.cluster_table(q, args.bound, args.seed, args.probe_budget)
+    clusters = table.enumeration(table.clusters).items
+    size = len(table.variables)
+    if size <= 22:
+        naive = cl.subset_scan(q, table.variables)
+        ok = clusters == naive
+        detail = f"clique search and subset scan both give {len(naive)}"
     else:
-        enum = cl.enumerate_clusters(q, args.bound, args.seed, args.probe_budget)
-        checks.append(
-            (
-                "cluster-count",
-                None,
-                f"{len(enum.items)} clusters; subset scan not run on "
-                f"{len(variables)} > 22 variables",
-            )
+        ok = None
+        detail = (
+            f"{len(clusters)} clusters; subset scan not run on {size} > 22 variables"
         )
+    checks.append(("cluster-count", ok, detail))
 
     try:
-        cp = cl.cluster_poset(q, args.bound, args.seed, args.probe_budget)
+        cp = cl.cluster_poset(table)
         ok, detail = True, f"axioms hold on {len(cp.elements)} clusters"
         # Top = projectives and bottom = negatives hold only for the full set.
         if q.is_dynkin and cp.complete:
@@ -430,49 +395,24 @@ def _verification_checks(q, args):
     checks.append(("cluster-poset", ok, detail))
 
     if q.is_dynkin and cp is not None:
-        if cp.complete:
-            sp = reps.stilt_poset(q, seed=args.seed, budget=args.probe_budget)
-            same, witness = reps.compare_posets(cp, sp)
-            detail = (
-                "generation order matches the cluster order"
-                if same
-                else f"mismatch at {witness}"
-            )
-        else:
-            same = None
-            detail = (
-                "the generation order needs every cluster; the height bound "
-                f"{args.bound} leaves {len(cp.elements)}"
-            )
+        sp = reps.stilt_poset(table, seed=args.seed, budget=args.probe_budget)
+        same, witness = reps.compare_posets(cp, sp)
+        detail = "generation order matches the cluster order"
+        if not same:
+            detail = f"mismatch at {witness}"
         checks.append(("stilt-match", same, detail))
-        if len(variables) <= 22:
-            enum_pc = cl.enumerate_preclusters(
-                q, bound=args.bound, seed=args.seed, budget=args.probe_budget
-            )
-            failed = None
-            for pc in enum_pc.items:
-                try:
-                    cl.complete_to_cluster(q, pc)
-                except SchurClustersError:
-                    failed = pc
-                    break
-            checks.append(
-                (
-                    "precluster-extension",
-                    failed is None,
-                    f"all {len(enum_pc.items)} preclusters extend to clusters"
-                    if failed is None
-                    else f"no completion for {failed}",
-                )
-            )
-        else:
-            checks.append(
-                (
-                    "precluster-extension",
-                    None,
-                    f"not run on {len(variables)} > 22 variables",
-                )
-            )
+        # A bounded precluster may need a taller partner, so extension is
+        # judged against every cluster.
+        full = table
+        if not table.complete:
+            full = cl.cluster_table(q, None, args.seed, args.probe_budget)
+        pcs = table.enumeration(table.preclusters()).items
+        extends = full.containing(pcs).any(axis=1)
+        failed = next((pc for pc, ok in zip(pcs, extends) if not ok), None)
+        detail = f"all {len(pcs)} preclusters extend to clusters"
+        if failed is not None:
+            detail = f"no completion for {failed}"
+        checks.append(("precluster-extension", failed is None, detail))
     return checks
 
 
@@ -578,10 +518,7 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         text, code = run_command(args)
-    except ParseError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedFormat as exc:
+    except (ParseError, UnsupportedFormat) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -8,21 +8,21 @@ of a positive member.  Clusters are the maximal preclusters; they all have
 exactly as many elements as the quiver has vertices, which the enumeration
 asserts rather than assumes.
 
-Enumeration runs over the compatibility graph on variable indices in
-canonical order: preclusters are its cliques, clusters its maximal cliques.
-The graph and the cluster order both come from one matrix of nonvanishing
-extension invariants, built once per call by ``einv.e_nonzero``.  On a
-Dynkin quiver that matrix is the closed form <a, b> < 0 on positive roots
-(Ringel 1984; Marsh-Reineke-Zelevinsky 2003), one product R E R^T; on
-other quivers it is filled from ``einv.e_invariant``.  The per-pair
-predicates (``compatible``, ``is_precluster``, ``cluster_geq``) keep
-calling ``e_invariant``, and a naive subset-scan oracle is kept alongside
-for cross-validation.
+One ``ClusterTable`` per (quiver, bound, seed, budget), passed to every
+consumer, holds the variables, the compatibility graph on their indices,
+its cliques (preclusters) and maximal cliques (clusters).  The graph and
+the cluster order come from one matrix of nonvanishing extension
+invariants, ``einv.e_nonzero``: on a Dynkin quiver the closed form
+<a, b> < 0 on positive roots (Ringel 1984; Marsh-Reineke-Zelevinsky 2003),
+elsewhere filled from ``einv.e_invariant``.  The per-pair predicates
+(``compatible``, ``is_precluster``, ``cluster_geq``), the subset scan and
+``complete_to_cluster``'s own search are kept as references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -132,20 +132,6 @@ def compatible(q: Quiver, u: DimVec, v: DimVec) -> bool:
     return e_invariant(q, u, v) == 0 and e_invariant(q, v, u) == 0
 
 
-def _variables(q: Quiver, bound, seed, budget):
-    roots = real_schur_roots(q, bound=bound, seed=seed, budget=budget)
-    negs = [negative_simple(q, i) for i in range(1, q.n + 1)]
-    out = sorted(negs + list(roots.roots), key=var_key)
-    return tuple(out), roots.complete
-
-
-def cluster_variables(
-    q: Quiver, bound: int | None = None, seed: int = 0, budget: int = 8
-) -> tuple[DimVec, ...]:
-    """All cluster variables: negative simples then real Schur roots."""
-    return _variables(q, bound, seed, budget)[0]
-
-
 @dataclass(frozen=True)
 class Enumeration:
     """A canonically sorted enumeration result.
@@ -222,27 +208,101 @@ def _cliques(compat):
     yield from walk((), everyone, everyone)
 
 
-def _clusters(q: Quiver, bound, seed, budget):
-    """The variables, their completeness flag, every cluster as an
-    increasing index tuple into the variables in lexicographic order, and
-    the variables' E matrix ``nz`` from ``_compat_matrix``."""
-    variables, complete = _variables(q, bound, seed, budget)
+@dataclass(frozen=True, eq=False)
+class ClusterTable:
+    """The cluster variables of one quiver, built by ``cluster_table``.
+
+    ``variables`` are in canonical order; ``compat`` and ``nz`` are their
+    ``_compat_matrix`` and ``negative`` marks the negative simples.
+    ``clusters`` (index tuples, in lexicographic order) and their membership
+    matrix ``members`` are found on first use, so a caller can refuse a
+    large table between its variables and the clique search.  The arrays
+    are read-only, since consumers share the table.
+    """
+
+    quiver: Quiver
+    variables: tuple[DimVec, ...]
+    complete: bool
+    height_bound: int | None
+    compat: np.ndarray
+    nz: np.ndarray
+    negative: np.ndarray
+
+    @cached_property
+    def clusters(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal cliques of ``compat`` with n members, asserting that
+        no clique is larger and, on a complete set, none maximal smaller."""
+        n = self.quiver.n
+        found = []
+        for clique, maximal in _cliques(self.compat):
+            if len(clique) > n:
+                raise RuntimeError(
+                    f"internal error: {len(clique)} pairwise compatible variables "
+                    f"on a quiver with {n} vertices"
+                )
+            if maximal and self.complete and len(clique) != n:
+                raise RuntimeError(
+                    "internal error: a maximal compatible set of size "
+                    f"{len(clique)} != {n} on a Dynkin quiver"
+                )
+            if maximal and len(clique) == n:
+                found.append(clique)
+        return tuple(found)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """M[c, v]: cluster c holds variable v."""
+        m = np.zeros((len(self.clusters), len(self.variables)), dtype=bool)
+        for row, c in zip(m, self.clusters):
+            row[list(c)] = True
+        m.setflags(write=False)
+        return m
+
+    def preclusters(self, positive_only: bool = False) -> tuple[tuple[int, ...], ...]:
+        """Every clique of ``compat``, the empty one included, ordered by
+        size and then lexicographically; ``positive_only`` leaves out the
+        negative simples."""
+        keep = np.flatnonzero(~self.negative | (not positive_only))
+        sub = self.compat[np.ix_(keep, keep)]
+        found = [tuple(keep[list(c)].tolist()) for c, _ in _cliques(sub)]
+        return tuple(sorted(found, key=lambda c: (len(c), c)))
+
+    def enumeration(self, cliques) -> Enumeration:
+        """Index tuples as an ``Enumeration`` of variable tuples."""
+        v = self.variables
+        items = tuple(tuple(v[i] for i in c) for c in cliques)
+        return Enumeration(items, self.complete, self.height_bound)
+
+    def containing(self, groups) -> np.ndarray:
+        """contains[g, c]: cluster c holds every variable of group g, a
+        collection of this table's variables; g has no member outside c."""
+        index = {v: i for i, v in enumerate(self.variables)}
+        rows = np.zeros((len(groups), len(self.variables)), dtype=bool)
+        for row, g in zip(rows, groups):
+            row[[index[v] for v in g]] = True
+        return ~(rows @ ~self.members.T)
+
+
+def cluster_table(
+    q: Quiver, bound: int | None = None, seed: int = 0, budget: int = 8
+) -> ClusterTable:
+    """The ``ClusterTable`` of ``q``: negative simples and the real Schur
+    roots of ``einv.real_schur_roots(q, bound, seed, budget)``."""
+    roots = real_schur_roots(q, bound=bound, seed=seed, budget=budget)
+    negs = [negative_simple(q, i) for i in range(1, q.n + 1)]
+    variables = tuple(sorted(negs + list(roots.roots), key=var_key))
     compat, nz = _compat_matrix(q, variables)
-    found = []
-    for clique, maximal in _cliques(compat):
-        if len(clique) > q.n:
-            raise RuntimeError(
-                f"internal error: {len(clique)} pairwise compatible variables "
-                f"on a quiver with {q.n} vertices"
-            )
-        if maximal and complete and len(clique) != q.n:
-            raise RuntimeError(
-                "internal error: a maximal compatible set of size "
-                f"{len(clique)} != {q.n} on a Dynkin quiver"
-            )
-        if maximal and len(clique) == q.n:
-            found.append(clique)
-    return variables, complete, found, nz
+    negative = np.array([any(a < 0 for a in v) for v in variables], dtype=bool)
+    for a in (compat, nz, negative):
+        a.setflags(write=False)
+    return ClusterTable(q, variables, roots.complete, bound, compat, nz, negative)
+
+
+def cluster_variables(
+    q: Quiver, bound: int | None = None, seed: int = 0, budget: int = 8
+) -> tuple[DimVec, ...]:
+    """All cluster variables: negative simples then real Schur roots."""
+    return cluster_table(q, bound, seed, budget).variables
 
 
 def enumerate_clusters(
@@ -254,22 +314,26 @@ def enumerate_clusters(
     variable set every maximal clique must have exactly n members (maximal
     preclusters are clusters); that fact is asserted at runtime.
     """
-    variables, complete, found, _ = _clusters(q, bound, seed, budget)
-    items = tuple(tuple(variables[i] for i in c) for c in found)
-    return Enumeration(items, complete, bound)
+    table = cluster_table(q, bound, seed, budget)
+    return table.enumeration(table.clusters)
 
 
-def enumerate_clusters_naive(
-    q: Quiver, bound: int | None = None, seed: int = 0, budget: int = 8
-) -> tuple:
-    """Subset-scan oracle for cluster enumeration (no clique search)."""
-    variables, _ = _variables(q, bound, seed, budget)
+def subset_scan(q: Quiver, variables) -> tuple:
+    """The size-n subsets of ``variables`` that pass ``is_precluster``, as
+    canonically sorted variable tuples: the clique search's oracle."""
     found = []
     for combo in combinations(variables, q.n):
         if is_precluster(q, combo)[0]:
             found.append(tuple(sorted(combo, key=var_key)))
     found.sort(key=cluster_key)
     return tuple(found)
+
+
+def enumerate_clusters_naive(
+    q: Quiver, bound: int | None = None, seed: int = 0, budget: int = 8
+) -> tuple:
+    """Subset-scan oracle for cluster enumeration (no clique search)."""
+    return subset_scan(q, cluster_table(q, bound, seed, budget).variables)
 
 
 def enumerate_preclusters(
@@ -280,13 +344,8 @@ def enumerate_preclusters(
     budget: int = 8,
 ) -> Enumeration:
     """All preclusters (cliques of the compatibility graph, plus the empty set)."""
-    variables, complete = _variables(q, bound, seed, budget)
-    if positive_only:
-        variables = tuple(v for v in variables if all(a >= 0 for a in v))
-    compat, _ = _compat_matrix(q, variables)
-    cliques = sorted((c for c, _ in _cliques(compat)), key=lambda c: (len(c), c))
-    items = tuple(tuple(variables[i] for i in c) for c in cliques)
-    return Enumeration(items, complete, bound)
+    table = cluster_table(q, bound, seed, budget)
+    return table.enumeration(table.preclusters(positive_only))
 
 
 def complete_to_cluster(
@@ -295,8 +354,10 @@ def complete_to_cluster(
     """Extend a precluster to a cluster, returning the lexicographically least
     extension in canonical variable order (negative simples first).
 
-    Dynkin quivers always admit a completion.  With a height bound the search
-    may legitimately fail, which raises CompletionNotFound.
+    Candidates pass ``compatible`` with every member; this search is the
+    reference for ``ClusterTable.containing``.  Dynkin quivers always admit
+    a completion.  With a height bound the search may legitimately fail,
+    which raises CompletionNotFound.
     """
     svars = sorted({q.check_dimvec(v, allow_negative=True) for v in s}, key=var_key)
     ok, why = is_precluster(q, svars)
@@ -304,24 +365,25 @@ def complete_to_cluster(
         raise NotAPrecluster(f"not a precluster: {why}", reason=why)
     if len(svars) == q.n:
         return tuple(svars)
-    variables, _ = _variables(q, bound, seed, budget)
+    table = cluster_table(q, bound, seed, budget)
+    variables = table.variables
     chosen_set = set(svars)
     cands = [
-        v
-        for v in variables
+        i
+        for i, v in enumerate(variables)
         if v not in chosen_set and all(compatible(q, v, w) for w in svars)
     ]
     need = q.n - len(svars)
     # Lexicographic order on the extensions is that on the completed
     # clusters, so the first clique of the right size is the least one.
-    compat, _ = _compat_matrix(q, cands)
+    compat = table.compat[np.ix_(cands, cands)]
     extra = next((c for c, _ in _cliques(compat) if len(c) == need), None)
     if extra is None:
         raise CompletionNotFound(
             f"no cluster contains {svars}"
             + ("" if bound is None else f" within height bound {bound}")
         )
-    return tuple(sorted(svars + [cands[i] for i in extra], key=var_key))
+    return tuple(sorted(svars + [variables[cands[i]] for i in extra], key=var_key))
 
 
 def cluster_geq(q: Quiver, s, t) -> bool:
@@ -419,10 +481,8 @@ def assemble_poset(elements, leq, complete: bool, height_bound) -> ClusterPoset:
     )
 
 
-def cluster_poset(
-    q: Quiver, bound: int | None = None, seed: int = 0, budget: int = 8
-) -> ClusterPoset:
-    """All clusters under the cluster order, with verified axioms.
+def cluster_poset(table: ClusterTable) -> ClusterPoset:
+    """The clusters of ``table`` under the cluster order, with verified axioms.
 
     The order of ``cluster_geq`` for every pair at once: with ``nz[a, b]``
     saying e(a, b) != 0 on positive variables (and false elsewhere), M the
@@ -430,12 +490,8 @@ def cluster_poset(
     columns, s >= t exactly when (M nz M^T)[s, t] and (N (not N)^T)[s, t]
     are both false.
     """
-    variables, complete, found, nz = _clusters(q, bound, seed, budget)
-    members = np.zeros((len(found), len(variables)), dtype=bool)
-    for row, c in zip(members, found):
-        row[list(c)] = True
-    negative = np.array([any(a < 0 for a in v) for v in variables], dtype=bool)
-    neg = members[:, negative]
-    geq = ~(members @ nz @ members.T) & ~(neg @ ~neg.T)
-    items = tuple(tuple(variables[i] for i in c) for c in found)
-    return assemble_poset(items, geq.T, complete, bound)
+    members = table.members
+    neg = members[:, table.negative]
+    geq = ~(members @ table.nz @ members.T) & ~(neg @ ~neg.T)
+    items = table.enumeration(table.clusters).items
+    return assemble_poset(items, geq.T, table.complete, table.height_bound)

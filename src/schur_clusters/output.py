@@ -40,13 +40,18 @@ def variables_to_json(groups) -> list[list[dict]]:
     return [[records[v] for v in g] for g in groups]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: ``json`` reads true and false as bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def variable_from_json(obj, n: int) -> DimVec:
     """Inverse of variable_to_json; ParseError on malformed objects."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError(0, f"cluster variable must be an object with 'type': {obj!r}")
     if obj["type"] == "neg_simple":
         k = obj.get("vertex")
-        if not isinstance(k, int) or not (1 <= k <= n):
+        if not _is_int(k) or not (1 <= k <= n):
             raise ParseError(0, f"neg_simple vertex {k!r} out of range 1..{n}")
         return tuple(-1 if i == k - 1 else 0 for i in range(n))
     if obj["type"] == "root":
@@ -54,7 +59,7 @@ def variable_from_json(obj, n: int) -> DimVec:
         if (
             not isinstance(dim, list)
             or len(dim) != n
-            or not all(isinstance(a, int) and a >= 0 for a in dim)
+            or not all(_is_int(a) and a >= 0 for a in dim)
             or not any(dim)
         ):
             raise ParseError(0, f"root dim {dim!r} is not a nonzero vector of length {n}")

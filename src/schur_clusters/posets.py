@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import ClusterPoset, cluster_poset, cover_pairs, format_variable
+from .clusters import ClusterPoset, cluster_poset, cluster_table, cover_pairs
+from .clusters import format_variable
 from .errors import (
     BadIndex,
     LimitExceeded,
@@ -278,5 +279,5 @@ def torsion_class_count(q: Quiver, p: FinitePoset, method: str = "auto") -> int:
     """
     if not q.is_dynkin:
         raise NotDynkin("torsion class counting needs a Dynkin quiver")
-    cp = cluster_poset(q)  # its leq is read-only; the count reads no labels
+    cp = cluster_poset(cluster_table(q))  # read-only leq; the count reads no labels
     return count_monotone_maps(p, FinitePoset(len(cp.elements), cp.leq), method)

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .clusters import ClusterTable, assemble_poset, is_precluster, var_key
 from .einv import derived_seed
 from .errors import (
     DimensionMismatch,
@@ -278,8 +279,6 @@ def realize_cluster(q: Quiver, s, seed: int = 0, budget: int = 8) -> ModuleList:
     pairwise Ext vanishing promised by the precluster certificate is
     verified on the sampled matrices and any failure is raised loudly.
     """
-    from .clusters import is_precluster, var_key
-
     svars = sorted({q.check_dimvec(v, allow_negative=True) for v in s}, key=var_key)
     ok, why = is_precluster(q, svars)
     if not ok:
@@ -384,15 +383,17 @@ def _fills(x: Representation, per_g, gens) -> bool:
     )
 
 
-def stilt_poset(q: Quiver, seed: int = 0, budget: int = 8):
-    """Poset of realized clusters under the generation order.
+def stilt_poset(table: ClusterTable, seed: int = 0, budget: int = 8):
+    """The clusters of ``table``, realized, under the generation order.
 
-    Built entirely from matrices (hom spaces and traces); the combinatorial
-    cluster order never enters, so comparing the two posets is a genuine
-    cross-check.  Gen T membership depends only on the module and on T's
-    summands.  So with P the cluster x module membership matrix over the
-    distinct positive modules and G[x, c] the trace criterion for module x
-    against cluster c, s <= t exactly when ``not (P @ not G)[s, t]``.
+    Element i is the table's cluster i, as in ``clusters.cluster_poset``,
+    with or without a height bound.  The order is built entirely from
+    matrices (hom spaces and traces); the combinatorial cluster order never
+    enters, so comparing the two posets is a genuine cross-check.  Gen T
+    membership depends only on the module and on T's summands.  So with P
+    the table's membership matrix on the positive variables in use (one
+    module each) and G[x, c] the trace criterion for module x against
+    cluster c, s <= t exactly when ``not (P @ not G)[s, t]``.
 
     Every piece of exact work is done once: each positive variable is
     sampled once (``_realize``), and the image of Hom(g, x) at each vertex
@@ -401,24 +402,22 @@ def stilt_poset(q: Quiver, seed: int = 0, budget: int = 8):
     every vertex of x, which is ``_generated``'s trace criterion; every
     entry of the order equals ``gen_leq`` on that pair.
     """
+    q = table.quiver
     if not q.is_dynkin:
-        raise NotDynkin("the full support tilting poset needs a Dynkin quiver")
-    from .clusters import assemble_poset, enumerate_clusters
-
-    realized = _realize(q, enumerate_clusters(q).items, seed, budget)
-    summands = [_reps_of(ml) for ml in realized]
-    modules = list(dict.fromkeys(rep for g in summands for rep in g))
-    column = {rep: v for v, rep in enumerate(modules)}
-    gens = [[column[rep] for rep in g] for g in summands]
-    members = np.zeros((len(gens), len(modules)), dtype=bool)
-    for row, g in zip(members, gens):
-        row[g] = True
+        raise NotDynkin("the support tilting poset needs a Dynkin quiver")
+    enum = table.enumeration(table.clusters)
+    realized = _realize(q, enum.items, seed, budget)
+    cols = np.flatnonzero(table.members.any(axis=0) & ~table.negative)
+    members = table.members[:, cols]
+    sampled = dict(pair for ml in realized for pair in ml.positives())
+    modules = [sampled[table.variables[i]] for i in cols]
+    gens = [np.flatnonzero(row) for row in members]
     bases = _image_bases(q, modules)
     generated = np.array(
         [[_fills(x, per_g, g) for g in gens] for x, per_g in zip(modules, bases)]
     )
     leq = ~(members @ ~generated)
-    return assemble_poset(realized, leq, complete=True, height_bound=None)
+    return assemble_poset(realized, leq, enum.complete, enum.height_bound)
 
 
 def compare_posets(p1, p2, mapping=None):

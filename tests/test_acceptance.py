@@ -21,6 +21,7 @@ from schur_clusters import (
     build_poset,
     chain,
     cluster_poset,
+    cluster_table,
     compare_posets,
     e_invariant,
     e_invariant_alt,
@@ -113,7 +114,7 @@ def test_criterion_3_cluster_counts():
 def test_criterion_3_stretch_e6():
     with criterion(3, "stretch: rank-6 count and poset", 300.0):
         assert len(enumerate_clusters(E6).items) == 833
-        cp = cluster_poset(E6)
+        cp = cluster_poset(cluster_table(E6))
         assert len(cp.elements) == 833
         # Every cluster has n mutations, each one a Hasse edge: 833 * 6 / 2.
         assert len(cp.hasse) == 2499
@@ -128,7 +129,7 @@ def test_criterion_4_structural_invariants():
             for pc in enumerate_preclusters(q).items:
                 full = complete_to_cluster(q, pc)
                 assert set(pc) <= set(full) and len(full) == q.n
-            cp = cluster_poset(q)
+            cp = cluster_poset(cluster_table(q))
             leq = np.asarray(cp.leq)
             m = len(cp.elements)
             assert leq.diagonal().all()
@@ -150,7 +151,8 @@ def test_criterion_4_structural_invariants():
 def test_criterion_5_cluster_order_equals_generation_order():
     with criterion(5, "cluster poset matches module generation poset", 120.0):
         for q in (A2, A2R, A3, D4):
-            same, witness = compare_posets(cluster_poset(q), stilt_poset(q))
+            table = cluster_table(q)
+            same, witness = compare_posets(cluster_poset(table), stilt_poset(table))
             assert same, (q.arrows, witness)
 
 
@@ -203,7 +205,7 @@ def test_criterion_7_kronecker_probe_path():
         enum = enumerate_clusters(KRONECKER, bound=7)
         assert all(len(c) == 2 for c in enum.items)
         assert not enum.complete
-        assert not cluster_poset(KRONECKER, bound=7).complete
+        assert not cluster_poset(cluster_table(KRONECKER, bound=7)).complete
 
 
 def test_criterion_8_cli_determinism(tmp_path):

@@ -2,15 +2,19 @@
 
 import os
 import random
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schur_clusters import (
     Quiver,
     cluster_geq,
     cluster_leq,
     cluster_poset,
+    cluster_table,
     cluster_variables,
     compatible,
     complete_to_cluster,
@@ -246,7 +250,7 @@ class TestOrder:
 
 class TestClusterPoset:
     def test_pentagon_statistics(self, a2):
-        cp = cluster_poset(a2)
+        cp = cluster_poset(cluster_table(a2))
         assert len(cp.elements) == 5
         assert int(cp.leq.sum()) == 13
         assert len(cp.hasse) == 5
@@ -254,19 +258,19 @@ class TestClusterPoset:
 
     def test_top_is_projectives_bottom_is_negatives(self, a2, a3, a3alt, d4):
         for q in (a2, a3, a3alt, d4):
-            cp = cluster_poset(q)
+            cp = cluster_poset(cluster_table(q))
             top = cp.elements[cp.top]
             assert set(top) == set(projective_dimension_vectors(q))
             bottom = cp.elements[cp.bottom]
             assert all(any(a < 0 for a in v) for v in bottom)
 
     def test_leq_matrix_is_read_only(self, a2):
-        cp = cluster_poset(a2)
+        cp = cluster_poset(cluster_table(a2))
         with pytest.raises(ValueError):
             cp.leq[0, 0] = False
 
     def test_hasse_edges_are_covers(self, a3):
-        cp = cluster_poset(a3)
+        cp = cluster_poset(cluster_table(a3))
         leq = cp.leq
         for i, j in cp.hasse:
             assert leq[i, j] and i != j
@@ -278,7 +282,7 @@ class TestClusterPoset:
             assert not between
 
     def test_transitive_and_antisymmetric(self, d4):
-        cp = cluster_poset(d4)
+        cp = cluster_poset(cluster_table(d4))
         leq = np.asarray(cp.leq)
         assert (leq & leq.T).sum() == len(cp.elements)  # antisymmetry
         closure = leq @ leq
@@ -286,14 +290,14 @@ class TestClusterPoset:
 
     def test_matrix_order_matches_pairwise_definition(self, a3, a3alt, d4, kronecker):
         for q, bound in ((a3, None), (a3alt, None), (d4, None), (kronecker, 7)):
-            cp = cluster_poset(q, bound=bound)
+            cp = cluster_poset(cluster_table(q, bound=bound))
             els = cp.elements
             for i, s in enumerate(els):
                 for j, t in enumerate(els):
                     assert bool(cp.leq[i, j]) == cluster_leq(q, s, t), (q.arrows, s, t)
 
     def test_kronecker_bounded_poset(self, kronecker):
-        cp = cluster_poset(kronecker, bound=7)
+        cp = cluster_poset(cluster_table(kronecker, bound=7))
         assert len(cp.elements) == 9
         assert not cp.complete
         assert cp.bottom is not None
@@ -349,7 +353,7 @@ class TestAssembleGuards:
 
 class TestOrientationCovariance:
     def test_reversed_a2_mirrors_projectives(self, a2rev):
-        cp = cluster_poset(a2rev)
+        cp = cluster_poset(cluster_table(a2rev))
         assert len(cp.elements) == 5
         top = set(cp.elements[cp.top])
         assert top == set(projective_dimension_vectors(a2rev)) == {(1, 0), (1, 1)}
@@ -361,3 +365,85 @@ class TestOrientationCovariance:
         assert len(enum.items) == 10
         roots = positive_real_roots(q)
         assert len(roots) == 4
+
+
+A5_ZIGZAG = Quiver(5, [(1, 2), (3, 2), (3, 4), (5, 4)])
+
+
+class TestClusterTable:
+    def test_public_enumerations_read_the_table(self, a3, kronecker):
+        for q, bound in ((a3, None), (kronecker, 7)):
+            table = cluster_table(q, bound=bound)
+            assert table.variables == cluster_variables(q, bound=bound)
+            enum = enumerate_clusters(q, bound=bound)
+            assert table.enumeration(table.clusters) == enum
+            assert table.members.sum(axis=1).tolist() == [q.n] * len(enum)
+            for row, c in zip(table.members, enum.items):
+                assert {table.variables[i] for i in np.flatnonzero(row)} == set(c)
+            pcs = table.enumeration(table.preclusters())
+            assert pcs == enumerate_preclusters(q, bound=bound)
+
+    def test_clusters_wait_for_first_use(self, e6):
+        # The CLI refuses a large table between these two steps.
+        table = cluster_table(e6)
+        assert len(table.variables) == 42
+        assert "clusters" not in vars(table)
+        assert len(table.clusters) == 833
+
+    def test_arrays_are_read_only(self, a2):
+        table = cluster_table(a2)
+        for a in (table.compat, table.nz, table.negative, table.members):
+            with pytest.raises(ValueError):
+                a[0] = True
+
+    def test_first_containing_cluster_is_the_completion(self, a3, d4):
+        # complete_to_cluster's own search is the reference: the least
+        # completion is the first table cluster that holds the precluster.
+        for q in (a3, d4, A5_ZIGZAG):
+            table = cluster_table(q)
+            pcs = table.enumeration(table.preclusters()).items
+            first = table.containing(pcs).argmax(axis=1)
+            clusters = table.enumeration(table.clusters).items
+            for pc, c in zip(pcs, first):
+                assert complete_to_cluster(q, pc) == clusters[c], pc
+
+    def test_containing_finds_no_cluster_for_a_non_precluster(self, a2):
+        table = cluster_table(a2)
+        hits = table.containing([((1, 0), (0, 1)), ((1, 0),)])
+        assert hits.any(axis=1).tolist() == [False, True]
+
+
+def _dynkin_orientation(kind: str, n: int, flips) -> Quiver:
+    """A_n as the path 1-...-n, D_n as the path 1-...-(n-1) plus n-2 -- n,
+    with the edges whose flip is set pointing backwards."""
+    edges = [(i, i + 1) for i in range(1, n - (kind == "D"))]
+    if kind == "D":
+        edges.append((n - 2, n))
+    return Quiver(n, [(t, s) if f else (s, t) for (s, t), f in zip(edges, flips)])
+
+
+_ORIENTATIONS = st.sampled_from(
+    [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]
+).flatmap(
+    lambda kn: st.tuples(
+        st.just(kn), st.lists(st.booleans(), min_size=kn[1] - 1, max_size=kn[1] - 1)
+    )
+)
+
+
+@given(_ORIENTATIONS)
+@settings(max_examples=20, deadline=None)
+def test_cluster_counts_hold_on_every_orientation(case):
+    (kind, n), flips = case
+    q = _dynkin_orientation(kind, n, flips)
+    if kind == "A":
+        expected = comb(2 * n + 2, n + 1) // (n + 2)  # Catalan(n + 1)
+    else:
+        expected = (3 * n - 2) * comb(2 * n - 2, n - 1) // n  # Fomin-Zelevinsky
+    table = cluster_table(q)
+    cp = cluster_poset(table)
+    assert len(table.clusters) == len(cp.elements) == expected
+    # The Hasse diagram is the exchange graph: n neighbours per cluster.
+    assert len(cp.hasse) == n * expected // 2
+    if len(table.variables) <= 22:  # verify's subset-scan limit: not D5
+        assert table.enumeration(table.clusters).items == enumerate_clusters_naive(q)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,23 @@ class TestCli:
         assert captured.err.startswith("usage: schur-clusters verify ")
         assert "argument --box: expected a non-negative integer, got '-1'" in captured.err
 
+    @pytest.mark.parametrize("command", ["schur", "realize"])
+    def test_negative_probe_budget_exits_2(self, capsys, quiver_file, a2, command):
+        # The probe would exhaust at once and report probe-exhausted (exit 1).
+        path = quiver_file("a2.quiver", a2)
+        argv = [command, "--quiver", path, "--probe-budget", "-1"]
+        if command == "realize":
+            argv += ["--vars", '[{"type":"root","dim":[1,1]}]']
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: schur-clusters {command} ")
+        assert "argument --probe-budget: expected a non-negative integer, got '-1'" in (
+            captured.err
+        )
+
     def test_torsion_count_text(self, capsys, quiver_file, a2, tmp_path):
         qpath = quiver_file("a2.quiver", a2)
         ppath = tmp_path / "p.poset"
@@ -291,7 +309,7 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "ok"
         assert any(line.startswith("SKIP cluster-count: ") for line in lines)
-        assert any(line.startswith("SKIP precluster-extension: ") for line in lines)
+        assert "PASS precluster-extension: all 1233 preclusters extend to clusters" in lines
         assert not any(line.startswith("FAIL") for line in lines)
         assert "PASS e-closed-form: max(0, -<a, b>) equals e(a, b) on 400 root pairs" in lines
 
@@ -303,14 +321,14 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         skipped = {c["name"] for c in payload["checks"] if c.get("skipped")}
-        assert skipped == {"cluster-count", "precluster-extension"}
+        assert skipped == {"cluster-count"}
         for check in payload["checks"]:
             assert check["ok"] is (None if check["name"] in skipped else True)
             assert ("skipped" in check) == (check["name"] in skipped)
 
-    def test_verify_under_height_bound_skips_stilt_match(self, capsys, quiver_file, a3):
-        # The bound leaves 5 of A3's 14 clusters: the order axioms are still
-        # checked, but the generation order needs every cluster.
+    def test_verify_under_height_bound_runs_stilt_match(self, capsys, quiver_file, a3):
+        # The bound leaves 5 of A3's 14 clusters; both orders are built on
+        # exactly those 5, so they are compared element by element.
         path = quiver_file("a3.quiver", a3)
         assert main(["verify", "--quiver", path, "--bound", "1"]) == 0
         captured = capsys.readouterr()
@@ -319,8 +337,8 @@ class TestCli:
         assert lines[-1] == "ok"
         assert any(line.startswith("PASS cluster-poset: axioms hold on 5 clusters")
                    for line in lines)
-        assert any(line.startswith("SKIP stilt-match: ") for line in lines)
-        assert not any(line.startswith("FAIL") for line in lines)
+        assert "PASS stilt-match: generation order matches the cluster order" in lines
+        assert not any(line.startswith(("FAIL", "SKIP")) for line in lines)
 
     def test_verify_json_under_height_bound(self, capsys, quiver_file, a3):
         path = quiver_file("a3.quiver", a3)
@@ -329,9 +347,21 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         checks = {c["name"]: c for c in payload["checks"]}
-        assert checks["stilt-match"]["ok"] is None
-        assert checks["stilt-match"]["skipped"] is True
+        assert checks["stilt-match"]["ok"] is True
+        assert "skipped" not in checks["stilt-match"]
         assert checks["cluster-poset"]["ok"] is True
+
+    def test_bounded_verify_extends_preclusters_past_the_bound(self, capsys):
+        # Under --bound 3 the golden D4 precluster {(1,0,1,1), (1,1,0,1),
+        # (1,1,1,0)} completes only with (1,1,1,1), of height 4: extension
+        # is judged against every cluster, not the 34 within the bound.
+        d4 = str(Path(__file__).parent / "golden" / "d4.quiver")
+        argv = ["verify", "--quiver", d4, "--bound", "3", "--box", "0"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "PASS cluster-count: clique search and subset scan both give 34" in lines
+        assert "PASS precluster-extension: all 179 preclusters extend to clusters" in lines
+        assert lines[-1] == "ok"
 
     def test_internal_error_exits_3_on_one_line(self, capsys, monkeypatch):
         def broken(args):
@@ -342,6 +372,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error[internal]: internal error: invariant broken\n"
+
+    @pytest.mark.parametrize(
+        "vars_json",
+        ['[{"type":"neg_simple","vertex":true}]', '[{"type":"root","dim":[true,false]}]'],
+    )
+    def test_json_booleans_are_not_integers(self, capsys, quiver_file, a2, vars_json):
+        # json reads true as True, an int equal to 1: -e1 and (1,0) otherwise.
+        path = quiver_file("a2.quiver", a2)
+        assert main(["realize", "--quiver", path, "--vars", vars_json]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error[parse-error]: ")
 
     def test_bad_vars_json_exits_2(self, capsys, quiver_file, a2):
         path = quiver_file("a2.quiver", a2)

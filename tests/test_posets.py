@@ -16,6 +16,7 @@ from schur_clusters import (
     build_poset,
     chain,
     cluster_poset,
+    cluster_table,
     count_monotone_maps,
     covers_of,
     enumerate_monotone_maps,
@@ -269,25 +270,25 @@ class TestClosedForms:
 
     def test_chains_count_multichains(self, a4, d4):
         for q in (a4, d4):
-            target = as_finite_poset(cluster_poset(q))
+            target = as_finite_poset(cluster_poset(cluster_table(q)))
             for k in range(9):
                 expected = multichains_oracle(zeta(target), k)
                 assert count_monotone_maps(chain(k), target) == expected
-        a4_target = as_finite_poset(cluster_poset(a4))
+        a4_target = as_finite_poset(cluster_poset(cluster_table(a4)))
         assert count_monotone_maps(chain(8), a4_target) == 429478
 
     def test_linear_a_chain2_counts_tamari_intervals(self):
         counts = []
         for n in range(1, 6):
             q = Quiver(n, [(i, i + 1) for i in range(1, n)])
-            target = as_finite_poset(cluster_poset(q))
+            target = as_finite_poset(cluster_poset(cluster_table(q)))
             counts.append(count_monotone_maps(chain(2), target))
             assert counts[-1] == tamari_intervals(n + 1)
         assert counts == [3, 13, 68, 399, 2530]
 
     def test_antichains_count_all_functions(self, a4, d4):
         for q in (a4, d4):
-            target = as_finite_poset(cluster_poset(q))
+            target = as_finite_poset(cluster_poset(cluster_table(q)))
             for k in range(4):
                 assert count_monotone_maps(antichain(k), target) == target.n**k
 
@@ -296,7 +297,7 @@ class TestClosedForms:
         reason="stretch target; set SCHUR_CLUSTERS_LARGE=1 to run",
     )
     def test_e6_chain3_stretch(self, e6):
-        target = as_finite_poset(cluster_poset(e6))
+        target = as_finite_poset(cluster_poset(cluster_table(e6)))
         assert torsion_class_count(e6, chain(3)) == 3532853
         assert multichains_oracle(zeta(target), 3) == 3532853
 
@@ -306,7 +307,7 @@ class TestClosedForms:
     )
     def test_e6_diamond_stretch(self, e6):
         diamond = build_poset(4, covers=[(0, 1), (0, 2), (1, 3), (2, 3)])
-        target = as_finite_poset(cluster_poset(e6))
+        target = as_finite_poset(cluster_poset(cluster_table(e6)))
         assert torsion_class_count(e6, diamond) == 424974105
         assert diamonds_oracle(zeta(target)) == 424974105
 
@@ -334,7 +335,7 @@ class TestTorsionCounts:
             torsion_class_count(kronecker, chain(1))
 
     def test_matches_bruteforce_into_pentagon(self, a2):
-        target = as_finite_poset(cluster_poset(a2))
+        target = as_finite_poset(cluster_poset(cluster_table(a2)))
         rng = random.Random(7)
         for _ in range(6):
             n = rng.randint(1, 4)
@@ -344,7 +345,7 @@ class TestTorsionCounts:
 
 class TestAsFinitePoset:
     def test_names_and_order_preserved(self, a2):
-        cp = cluster_poset(a2)
+        cp = cluster_poset(cluster_table(a2))
         fp = as_finite_poset(cp)
         assert fp.n == 5
         assert np.array_equal(np.asarray(fp.leq), np.asarray(cp.leq))

@@ -10,6 +10,7 @@ import schur_clusters
 from schur_clusters import (
     Quiver,
     cluster_poset,
+    cluster_table,
     compare_posets,
     e_invariant,
     enumerate_clusters,
@@ -242,18 +243,23 @@ class TestGenOrder:
 
 class TestStiltPoset:
     def test_matches_cluster_order(self, a2, a2rev, a3, d4):
-        for q in (a2, a2rev, a3, d4):
-            same, witness = compare_posets(cluster_poset(q), stilt_poset(q))
+        # Under a bound both posets hold exactly the table's clusters.
+        for q, bound in ((a2, None), (a2rev, None), (a3, None), (d4, None), (d4, 3)):
+            table = cluster_table(q, bound=bound)
+            cp, sp = cluster_poset(table), stilt_poset(table)
+            assert [ml.labels() for ml in sp.elements] == list(cp.elements)
+            assert sp.complete == cp.complete == (bound is None)
+            same, witness = compare_posets(cp, sp)
             assert same, witness
 
     def test_requires_dynkin(self, kronecker):
         with pytest.raises(errors.NotDynkin):
-            stilt_poset(kronecker)
+            stilt_poset(cluster_table(kronecker, bound=5))
 
     def test_leq_equals_gen_leq_on_every_pair(self, a3, d4):
         # d4 is the source orientation; D4_CENTRE has vertex 2 in the middle.
         for q in (a3, d4, D4_CENTRE):
-            sp = stilt_poset(q)
+            sp = stilt_poset(cluster_table(q))
             m = len(sp.elements)
             expected = [
                 [gen_leq(q, sp.elements[i], sp.elements[j]) for j in range(m)]
@@ -265,15 +271,15 @@ class TestStiltPoset:
         # Sampling each variable once gives the modules realize_cluster
         # gives for each cluster on its own.
         for q in (D4_SOURCE, D4_CENTRE, A5):
-            sp = stilt_poset(q, seed=3)
+            sp = stilt_poset(cluster_table(q), seed=3)
             clusters = enumerate_clusters(q).items
             assert len(sp.elements) == len(clusters)
             for ml, c in zip(sp.elements, clusters):
                 assert ml == realize_cluster(q, c, seed=3)
 
     def test_element_labels_align_with_clusters(self, a2):
-        sp = stilt_poset(a2)
-        cp = cluster_poset(a2)
+        sp = stilt_poset(cluster_table(a2))
+        cp = cluster_poset(cluster_table(a2))
         assert [ml.labels() for ml in sp.elements] == [
             tuple(c) for c in cp.elements
         ]
@@ -281,8 +287,8 @@ class TestStiltPoset:
 
 class TestComparePosets:
     def test_detects_difference(self, a2):
-        cp = cluster_poset(a2)
-        sp = stilt_poset(a2)
+        cp = cluster_poset(cluster_table(a2))
+        sp = stilt_poset(cluster_table(a2))
         same, witness = compare_posets(cp, sp)
         assert same and witness is None
         flipped = [[bool(cp.leq[i][j]) for j in range(5)] for i in range(5)]
@@ -299,7 +305,7 @@ class TestComparePosets:
         assert w == (1, 4, bool(cp.leq[1][4]), not cp.leq[1][4])
 
     def test_witness_under_mapping(self, a3):
-        cp = cluster_poset(a3)
+        cp = cluster_poset(cluster_table(a3))
         m = len(cp.elements)
         mapping = [(5 * i + 3) % m for i in range(m)]
         assert sorted(mapping) == list(range(m))
@@ -326,10 +332,10 @@ class TestComparePosets:
 
     def test_size_mismatch(self, a2, a3):
         with pytest.raises(errors.SizeMismatch):
-            compare_posets(cluster_poset(a2), cluster_poset(a3))
+            compare_posets(cluster_poset(cluster_table(a2)), cluster_poset(cluster_table(a3)))
 
     def test_explicit_mapping_permutation(self, a2):
-        cp = cluster_poset(a2)
+        cp = cluster_poset(cluster_table(a2))
         same, _ = compare_posets(cp, cp, mapping=list(range(5)))
         assert same
         with pytest.raises(errors.SizeMismatch):
