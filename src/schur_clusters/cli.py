@@ -303,21 +303,8 @@ def _verification_checks(q, args):
     skipped because its input is too large."""
     checks = []
 
-    box = args.box
-    sweep = list(product(range(box + 1), repeat=q.n))
-    bad = None
-    pairs = 0
-    for x in sweep:
-        for y in sweep:
-            pairs += 1
-            e = einv.e_invariant(q, x, y)
-            right, left = einv.e_invariant_alt(q, x, y)
-            if not (e == right == left):
-                bad = (x, y, e, right, left)
-                break
-        if bad:
-            break
-    detail = f"{pairs} pairs in box {box}" if bad is None else f"mismatch at {bad}"
+    pairs, bad = einv.box_sweep(q, args.box)
+    detail = f"{pairs} pairs in box {args.box}" if bad is None else f"mismatch at {bad}"
     checks.append(("e-invariant-formulas", bad is None, detail))
 
     if q.is_dynkin:

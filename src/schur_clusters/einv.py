@@ -33,6 +33,9 @@ the two-sided maximum over S(x) x S(y), the definition itself, and
 Schofield's theorem but share nothing except the sets.  So the ``einv``
 command and the ``verify`` battery compare three formulas, and a wrong
 set would most likely show as a disagreement rather than pass unseen.
+``verify`` evaluates the three forms box-wise (``box_rows``): each
+row x of the box against every y at once, from the sets stacked once.
+``e_invariant`` and ``e_invariant_alt`` stay the per-pair reference.
 Top-level pairs are memoized per quiver.  Every product is exact under
 one proven magnitude bound (``_check_exact``).
 
@@ -63,6 +66,10 @@ from .quiver import DimVec, Quiver, RootSet, positive_real_roots, root_key, tits
 # Largest box (number of cells 0 <= w <= top) one fill may cover.  The Z
 # table holds one byte per pair of cells, so this caps it at 64 MiB.
 BOX_LIMIT = 8192
+
+# Largest product (in cells) ``box_rows`` forms at once: wider rows are cut
+# into column blocks, so one block of float64 holds at most 8 MiB.
+SWEEP_CELL_LIMIT = 2**20
 
 # Integers below this are exact in float64 as well as in int64.
 _EXACT_LIMIT = 2**53
@@ -228,6 +235,81 @@ def _e(memo: _Memo, x: DimVec, y: DimVec) -> int:
         )
     memo.pairs[key] = val
     return val
+
+
+def _colmin(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """min over the rows of a @ rows.T, in column blocks of at most
+    ``SWEEP_CELL_LIMIT`` cells (one column at least)."""
+    width = max(1, SWEEP_CELL_LIMIT // len(a))
+    low = np.empty(len(rows))
+    for j in range(0, len(rows), width):
+        low[j : j + width] = (a @ rows[j : j + width].T).min(axis=0)
+    return low
+
+
+def box_rows(q: Quiver, box: int):
+    """The three forms of e(x, y) over the box 0 <= x, y <= (box, ..., box).
+
+    Yields (x, e, right, left) for every x of the box in C order; e, right
+    and left are int64 arrays over every y in C order, holding the
+    two-sided value and the right and left one-sided values.  The sets
+    S(y) are stacked once, each y a contiguous segment of summand rows
+    y' and difference rows y - y', so each row of the box is a few
+    products: S(x) E against the differences then a min per segment
+    (two-sided), x E against the summands then a max per segment (right),
+    and S(x) E against the cells (left).  As in ``e_invariant`` and
+    ``e_invariant_alt``, the forms share only the sets.
+    """
+    if box < 0:
+        raise ValueError(f"box must be nonnegative, got {box}")
+    memo = _memo_for(q)
+    top = (box,) * q.n
+    if top not in memo.sets:
+        _fill(memo, top)
+    _check_exact(memo, sum(top), sum(top))
+    grid = np.indices((box + 1,) * q.n).reshape(q.n, -1)
+    vecs = [tuple(w) for w in grid.T.tolist()]
+    sets = [memo.sets[w] for w in vecs]
+    sizes = [len(s) for s in sets]
+    starts = np.cumsum([0] + sizes[:-1])
+    cells = grid.T.astype(np.float64)
+    subs = np.concatenate(sets).astype(np.float64)
+    diffs = np.repeat(cells, sizes, axis=0) - subs
+    emat = memo.emat.astype(np.float64)
+    for x, s in zip(vecs, sets):
+        a = s @ emat
+        xe = np.array(x, dtype=np.float64) @ emat
+        e = -np.minimum.reduceat(_colmin(a, diffs), starts)
+        right = np.maximum.reduceat(subs @ xe, starts) - cells @ xe
+        left = -_colmin(a, cells)
+        yield x, e.astype(np.int64), right.astype(np.int64), left.astype(np.int64)
+
+
+def box_sweep(q: Quiver, box: int) -> tuple[int, tuple | None]:
+    """Compare the three forms of e(x, y) on every pair of the box.
+
+    Returns (pairs, mismatch): mismatch is the first (x, y, e, right, left)
+    with the three values not all equal, x-major and y-minor, or None, and
+    pairs counts the pairs up to it or all (box + 1)^(2n) of them.  A
+    negative two-sided value met first is an internal error, as in
+    ``e_invariant``.
+    """
+    pairs = 0
+    for x, e, right, left in box_rows(q, box):
+        bad = (e < 0) | (e != right) | (e != left)
+        if not bad.any():
+            pairs += len(e)
+            continue
+        j = int(bad.argmax())
+        pairs += j + 1
+        if e[j] < 0:
+            raise RuntimeError(
+                "internal error: extension invariant came out negative "
+                f"({int(e[j])}) for quiver {q.arrows}"
+            )
+        y = tuple(int(v) for v in np.unravel_index(j, (box + 1,) * q.n))
+        return pairs, (x, y, int(e[j]), int(right[j]), int(left[j]))
+    return pairs, None
 
 
 def e_nonzero(q: Quiver, roots) -> np.ndarray:

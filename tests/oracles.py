@@ -297,3 +297,26 @@ class PairRecursionOracle:
             )
             self.pairs[(x, y)] = found
         return found
+
+
+def e_sweep_oracle(q, box: int):
+    """The E-formula sweep as one package call per pair: (pairs, mismatch).
+
+    For every x, then every y, of the box 0 <= x, y <= (box, ..., box) in C
+    order, compare ``e_invariant`` with both values of ``e_invariant_alt``
+    and stop at the first pair where they differ.  ``mismatch`` is that
+    (x, y, e, right, left) or None; ``pairs`` counts the pairs up to it.
+    It is the per-pair reference for ``einv.box_sweep``.
+    """
+    from schur_clusters import e_invariant, e_invariant_alt
+
+    sweep = list(product(range(box + 1), repeat=q.n))
+    pairs = 0
+    for x in sweep:
+        for y in sweep:
+            pairs += 1
+            e = e_invariant(q, x, y)
+            right, left = e_invariant_alt(q, x, y)
+            if not (e == right == left):
+                return pairs, (x, y, e, right, left)
+    return pairs, None

@@ -33,7 +33,7 @@ from schur_clusters.einv import (
     e_nonzero,
 )
 
-from oracles import PairRecursionOracle
+from oracles import PairRecursionOracle, e_sweep_oracle
 
 
 class TestBaseCases:
@@ -130,6 +130,62 @@ class TestFormulaAgreement:
         assert e >= 0
         assert e >= -euler_form(q, x, y)
         assert e_invariant_alt(q, x, y) == (e, e)
+
+
+def _assert_box_rows_per_pair(q, box):
+    """box_rows equals e_invariant and e_invariant_alt on every pair."""
+    sweep = list(product(range(box + 1), repeat=q.n))
+    rows = list(einv.box_rows(q, box))
+    assert [x for x, *_ in rows] == sweep
+    for x, e, right, left in rows:
+        assert e.dtype == right.dtype == left.dtype == np.int64
+        assert e.tolist() == [e_invariant(q, x, y) for y in sweep], (q.arrows, x)
+        alt = [e_invariant_alt(q, x, y) for y in sweep]
+        assert list(zip(right.tolist(), left.tolist())) == alt, (q.arrows, x)
+
+
+class TestBoxSweep:
+    def test_corpus_box_two(self, a2, a2rev, a3, d4, kronecker, wild):
+        for q in (a2, a2rev, a3, d4, kronecker, wild):
+            _assert_box_rows_per_pair(q, 2)
+            assert einv.box_sweep(q, 2) == ((3 ** q.n) ** 2, None)
+
+    def test_e6_box_one(self, e6):
+        _assert_box_rows_per_pair(e6, 1)
+        assert einv.box_sweep(e6, 1) == (4096, None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_quivers(), st.integers(min_value=0, max_value=2))
+    def test_random_quivers(self, q, box):
+        _assert_box_rows_per_pair(q, box)
+
+    def test_blocked_products(self, monkeypatch, d4, wild):
+        # A cap below every set size cuts each product into single columns.
+        monkeypatch.setattr(einv, "SWEEP_CELL_LIMIT", 1)
+        for q in (d4, wild):
+            _assert_box_rows_per_pair(q, 2)
+
+    def test_oversize_box_is_refused_before_any_work(self, monkeypatch, a2):
+        monkeypatch.setitem(_MEMOS, a2, einv._Memo(a2))
+        with pytest.raises(errors.LimitExceeded) as info:
+            einv.box_sweep(a2, 90)
+        assert info.value.info == {"box": [90, 90], "cells": 91**2, "limit": BOX_LIMIT}
+        assert e_cache_stats(a2)["summand_sets"] == 0
+
+    def test_first_witness_of_a_corrupt_set(self, monkeypatch, a3):
+        # Dropping the summand (1, 0, 0) of S((1, 0, 1)) breaks Schofield's
+        # agreement on six pairs of the row x = (1, 0, 1); the sweep must
+        # stop at the first of them, where the per-pair loop stops.
+        memo = einv._Memo(a3)
+        monkeypatch.setitem(_MEMOS, a3, memo)
+        einv._fill(memo, (2, 2, 2))
+        s = memo.sets[(1, 0, 1)]
+        keep = (s != (1, 0, 0)).any(axis=1)
+        assert keep.sum() == len(s) - 1
+        monkeypatch.setitem(memo.sets, (1, 0, 1), s[keep])
+        expected = e_sweep_oracle(a3, 2)
+        assert expected[1] is not None
+        assert einv.box_sweep(a3, 2) == expected
 
 
 def _edges_a(n):

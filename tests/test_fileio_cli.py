@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schur_clusters import Quiver, cli, errors
+from schur_clusters import Quiver, cli, einv, errors
 from schur_clusters.cli import main
 from schur_clusters.fileio import (
     emit_poset_text,
@@ -26,6 +26,8 @@ from schur_clusters.output import (
     variable_to_json,
 )
 from schur_clusters.reps import make_representation
+
+from oracles import e_sweep_oracle
 
 
 class TestQuiverText:
@@ -164,8 +166,6 @@ class TestCli:
     def test_einv_failed_exactness_bound_exits_3(
         self, capsys, monkeypatch, quiver_file, wild
     ):
-        from schur_clusters import einv
-
         monkeypatch.setattr(einv, "_EXACT_LIMIT", 1)
         monkeypatch.delitem(einv._MEMOS, wild, raising=False)
         path = quiver_file("wild.quiver", wild)
@@ -206,6 +206,67 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("usage: schur-clusters verify ")
         assert "argument --box: expected a non-negative integer, got '-1'" in captured.err
+
+    def test_verify_oversize_box_is_refused_at_once(self, capsys, monkeypatch, quiver_file, a2):
+        # 91^2 = 8281 cells: the top box is filled first, so nothing is swept.
+        monkeypatch.setitem(einv._MEMOS, a2, einv._Memo(a2))
+        path = quiver_file("a2.quiver", a2)
+        assert main(["verify", "--quiver", path, "--box", "90"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[limit-exceeded]: ")
+        assert "[90, 90]" in lines[0]
+        assert einv.e_cache_stats(a2)["summand_sets"] == 0
+
+    def test_verify_reports_the_first_sweep_witness(
+        self, capsys, monkeypatch, quiver_file, a3
+    ):
+        # A corrupt stored set: verify's FAIL line names the pair where the
+        # per-pair loop over e_invariant and e_invariant_alt stops.
+        memo = einv._Memo(a3)
+        monkeypatch.setitem(einv._MEMOS, a3, memo)
+        einv._fill(memo, (2, 2, 2))
+        s = memo.sets[(1, 0, 1)]
+        monkeypatch.setitem(memo.sets, (1, 0, 1), s[(s != (1, 0, 0)).any(axis=1)])
+        _, bad = e_sweep_oracle(a3, 2)
+        assert bad is not None
+        path = quiver_file("a3.quiver", a3)
+        assert main(["verify", "--quiver", path]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"FAIL e-invariant-formulas: mismatch at {bad}"
+        assert lines[-1] == "FAILED"
+
+    def test_verify_calls_e_invariant_only_on_root_pairs(
+        self, capsys, monkeypatch, quiver_file, a3
+    ):
+        # The box sweep makes no per-pair call; e-closed-form makes one for
+        # each of A3's 6 x 6 root pairs.
+        calls = []
+        pair_e = einv.e_invariant
+
+        def counted(q, x, y):
+            calls.append((x, y))
+            return pair_e(q, x, y)
+
+        monkeypatch.setattr(einv, "e_invariant", counted)
+        path = quiver_file("a3.quiver", a3)
+        assert main(["verify", "--quiver", path]) == 0
+        assert "PASS e-invariant-formulas: 729 pairs in box 2" in capsys.readouterr().out
+        assert len(calls) == 36
+
+    def test_verify_negative_sweep_value_exits_3(self, capsys, monkeypatch, quiver_file, a2):
+        # Shifting every block minimum up by one makes e(0, 0) = -1 at the
+        # first pair: a negative value is an internal error before a mismatch.
+        colmin = einv._colmin
+        monkeypatch.setattr(einv, "_colmin", lambda a, rows: colmin(a, rows) + 1)
+        path = quiver_file("a2.quiver", a2)
+        assert main(["verify", "--quiver", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[internal]: ")
+        assert "negative (-1)" in lines[0]
 
     @pytest.mark.parametrize("command", ["schur", "realize"])
     def test_negative_probe_budget_exits_2(self, capsys, quiver_file, a2, command):

@@ -3,9 +3,9 @@
 The fixtures under ``tests/golden/`` hold the stdout of the invocations
 below: criterion 8's determinism set plus the all-preclusters path on D4
 and the incomplete (height-bounded) poset on the Kronecker quiver.  Outputs
-too large to keep as files (E6, E8, A5 DOT, D4 and E6 ``stilt``) are pinned
-by the sha256 of their stdout in ``digests.json``; E8 and E6 ``stilt`` run
-only under ``SCHUR_CLUSTERS_LARGE=1``.  After an intended output change, regenerate
+too large to keep as files (E6, E8, A5 DOT, D4 and E6 ``stilt``, E6
+``verify``) are pinned by the sha256 of their stdout in ``digests.json``;
+E8, E6 ``stilt`` and E6 ``verify`` run only under ``SCHUR_CLUSTERS_LARGE=1``.  After an intended output change, regenerate
 both with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -63,8 +63,9 @@ DIGEST_INVOCATIONS = {
     "poset-a5.dot": ["poset", "--quiver", _in("a5.quiver"), "--format", "dot"],
     "clusters-e8.json": ["clusters", "--quiver", _in("e8.quiver"), "--allow-large"],
     "stilt-e6-s5.json": ["stilt", "--quiver", _in("e6.quiver"), "--seed", "5"],
+    "verify-e6.txt": ["verify", "--quiver", _in("e6.quiver")],
 }
-LARGE_DIGESTS = {"clusters-e8.json", "stilt-e6-s5.json"}
+LARGE_DIGESTS = {"clusters-e8.json", "stilt-e6-s5.json", "verify-e6.txt"}
 DIGESTS = GOLDEN / "digests.json"
 
 
