@@ -9,17 +9,20 @@ unusable input (bad flags, malformed files or inline JSON), 3 when an
 internal invariant check fails (one ``error[internal]`` line, no traceback).
 
 ``_COMMANDS`` describes each command once: its handler, its help string and
-its arguments.  ``main`` builds the parser of the command it is given and no
-other, since argparse setup would otherwise cost a small job more than its
-work; without a known command it builds them all.
+its arguments.  ``main`` first reads a plain argv (a command and its exact
+long flags, each once, with well-formed values) straight from that table,
+so such a call never imports argparse, gettext or locale, whose setup
+would cost a small job more than its work.  Everything else goes to
+argparse, the only source of help, usage and error text: the parser of
+the command given, or of them all without a known command.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from itertools import product
+from types import SimpleNamespace
 
 from . import clusters as cl
 from . import einv, fileio, output, posets, reps
@@ -47,6 +50,8 @@ def _vec(text: str):
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         )
@@ -58,10 +63,26 @@ def _nonnegative(text: str) -> int:
     except ValueError:
         value = -1
     if value < 0:
+        import argparse
+
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}"
         )
     return value
+
+
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        message = f"invalid int value: {text!r}"  # argparse's words for type=int
+    else:
+        if value >= 1:
+            return value
+        message = f"expected a positive integer, got {text!r}"
+    import argparse
+
+    raise argparse.ArgumentTypeError(message)
 
 
 def _meta(args) -> dict:
@@ -82,7 +103,7 @@ def _format(*choices):
 
 
 _QUIVER = _arg("--quiver", required=True, metavar="FILE", help="quiver text file")
-_BOUND = _arg("--bound", type=int, default=None, help="height bound for roots")
+_BOUND = _arg("--bound", type=_positive, default=None, help="height bound for roots")
 _SEED = _arg("--seed", type=int, default=0, help="base seed (default 0)")
 _BUDGET = _arg(
     "--probe-budget",
@@ -99,7 +120,7 @@ _LARGE = _arg(
 )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None):
     """The parser for every command in ``_COMMANDS``, or for ``command`` alone.
 
     A command's usage, help, errors and Namespace come from its own
@@ -109,6 +130,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     default, under which its own errors (no command, an unknown one) name
     the ``command`` positional.
     """
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="schur-clusters",
         description="Real Schur roots, clusters and support tilting posets "
@@ -494,15 +517,65 @@ _COMMANDS = {
 }
 
 
+def _read_args(argv):
+    """The Namespace argparse gives a plain argv, read from ``_COMMANDS``;
+    None for any other argv.
+
+    Plain: a command, then only its exact long flags, each at most once,
+    each value one token that does not start with "-" and passes the
+    flag's type and choices, and every required flag present.  Defaults,
+    ``store_true`` and ``dest`` follow argparse.  Help, abbreviations,
+    ``--flag=value``, repeats, negative numbers and every error are left
+    to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    ns = {"command": argv[0]}
+    options, required = {}, set()
+    for flags, kwargs in _COMMANDS[argv[0]][2:]:
+        long = [f for f in flags if f.startswith("--")]
+        dest = kwargs.get("dest")
+        if dest is None:
+            dest = (long or flags)[0].lstrip("-").replace("-", "_")
+        switch = kwargs.get("action") == "store_true"
+        ns[dest] = kwargs.get("default", False if switch else None)
+        options.update((f, (dest, switch, kwargs)) for f in long)
+        if kwargs.get("required"):
+            required.add(dest)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in options or options[token][0] in seen:
+            return None
+        dest, switch, kwargs = options[token]
+        seen.add(dest)
+        if switch:
+            ns[dest] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except Exception:  # argparse reports it, or raises what it does not catch
+            return None
+        if value not in kwargs.get("choices", [value]):
+            return None
+        ns[dest] = value
+    return SimpleNamespace(**ns) if required <= seen else None
+
+
 def run_command(args) -> tuple[str, int]:
     return _COMMANDS[args.command][0](args)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Build only the named command's parser; anything else gets the full one.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _read_args(argv)
+    if args is None:
+        # Build only the named command's parser; anything else gets the full one.
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = build_parser(command).parse_args(argv)
     try:
         text, code = run_command(args)
     except (ParseError, UnsupportedFormat) as exc:

@@ -1,12 +1,16 @@
 """Text formats, JSON emission, and the command line front end."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schur_clusters import Quiver, cli, einv, errors
 from schur_clusters.cli import main
@@ -285,6 +289,26 @@ class TestCli:
             captured.err
         )
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command", [c for c, entry in cli._COMMANDS.items() if cli._BOUND in entry]
+    )
+    def test_bound_below_one_exits_2(self, capsys, quiver_file, a2, command, value):
+        # A usage error, not the library's bound-required refusal (exit 1).
+        path = quiver_file("a2.quiver", a2)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--quiver", path, "--bound", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: schur-clusters {command} ")
+        lines = captured.err.splitlines()
+        assert sum("error" in line for line in lines) == 1
+        assert lines[-1] == (
+            f"schur-clusters {command}: error: argument --bound: "
+            f"expected a positive integer, got '{value}'"
+        )
+
     def test_torsion_count_text(self, capsys, quiver_file, a2, tmp_path):
         qpath = quiver_file("a2.quiver", a2)
         ppath = tmp_path / "p.poset"
@@ -465,6 +489,38 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
 
+    def test_plain_calls_load_no_argparse(self, quiver_file, a2, tmp_path):
+        # A plain argv is read from the command table; help and bad flags
+        # still go through argparse.
+        probe = (
+            "import json, sys\n"
+            "from schur_clusters.cli import main\n"
+            "try:\n"
+            "    code = main(json.loads(sys.argv[1]))\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "mods = [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+            "print(json.dumps([code, mods]))\n"
+        )
+
+        def run(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, json.dumps(argv)],
+                capture_output=True, text=True,
+            )
+            return json.loads(proc.stdout.splitlines()[-1])
+
+        qpath = quiver_file("a2.quiver", a2)
+        ppath = tmp_path / "p.poset"
+        ppath.write_text("n 1\n")
+        plain_count = ("torsion-count", "--quiver", qpath, "--poset", str(ppath))
+        assert run(*plain_count) == [0, []]
+        assert run("einv", "--quiver", qpath, "--x", "1,0", "--y", "0,1") == [0, []]
+        code, mods = run(*plain_count, "--help")
+        assert code == 0 and "argparse" in mods
+        code, mods = run(*plain_count, "--bogus")
+        assert code == 2 and "argparse" in mods
+
     def test_module_entry_point_help(self):
         # main(None) reads sys.argv, which the in-process tests never reach.
         def run(*argv):
@@ -553,3 +609,123 @@ class TestOneCommandParser:
         captured = capsys.readouterr()
         assert exc.value.code == (0 if argv == ["--help"] else 2)
         assert "{" + ",".join(cli._COMMANDS) + "}" in captured.out + captured.err
+
+
+def _good_value(kwargs):
+    """Values that pass an argument's type and choices."""
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    kind = kwargs.get("type")
+    if kind is None:
+        return st.text(max_size=6).filter(lambda t: not t.startswith("-"))
+    if kind is cli._vec:
+        return st.lists(st.integers(0, 9), min_size=1, max_size=3).map(
+            lambda v: ",".join(map(str, v))
+        )
+    return st.integers(1, 99).map(str)
+
+
+_ODD = ["-3", "-1", "0", "-", "--", "-h", "--help", "", "a b", "x", "1,x", "xml", "1.5"]
+_EDITS = ["abbreviate", "equals", "repeat", "odd-token", "odd-value", "drop"]
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, plain) for a command drawn from the table.  A plain argv has
+    exact flags, each once, good values and every required flag; the
+    others have one to three edits."""
+    cmd = draw(st.sampled_from(list(cli._COMMANDS)))
+    pieces = []
+    for (flag,), kwargs in cli._COMMANDS[cmd][2:]:
+        if kwargs.get("required") or draw(st.booleans()):
+            value = [] if kwargs.get("action") else [draw(_good_value(kwargs))]
+            pieces.append([flag, *value])
+    pieces = draw(st.permutations(pieces))
+    edits = draw(st.lists(st.sampled_from(_EDITS), max_size=3))
+    for edit in edits:
+        at = draw(st.integers(0, len(pieces)))
+        if edit == "odd-token":
+            pieces.insert(at, [draw(st.sampled_from(_ODD))])
+            continue
+        if not pieces:
+            continue
+        i = at % len(pieces)
+        flag = pieces[i][0]
+        if edit == "abbreviate" and len(flag) > 3:
+            pieces[i][0] = flag[: draw(st.integers(3, len(flag) - 1))]
+        elif edit == "equals":
+            pieces[i] = ["=".join(pieces[i])]
+        elif edit == "repeat":
+            pieces.insert(at, list(pieces[i]))
+        elif edit == "odd-value":
+            pieces[i] = [flag, draw(st.sampled_from(_ODD))]
+        elif edit == "drop":
+            del pieces[i]
+    return [cmd, *(t for piece in pieces for t in piece)], not edits
+
+
+class TestPlainReader:
+    """``cli._read_args`` against the parser it stands in for."""
+
+    @given(_argvs())
+    @settings(max_examples=400, deadline=None)
+    def test_same_namespace_as_argparse_or_none(self, case):
+        argv, plain = case
+        ours = cli._read_args(argv)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                theirs = cli.build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            assert not plain and ours is None
+            return
+        if plain:
+            assert ours is not None
+        if ours is not None:
+            assert vars(ours) == vars(theirs)
+
+    @pytest.mark.parametrize("cmd", list(_VALID_ARGV))
+    def test_reads_every_valid_argv(self, cmd):
+        argv = [cmd, *_VALID_ARGV[cmd]]
+        assert vars(cli._read_args(argv)) == vars(cli.build_parser(cmd).parse_args(argv))
+
+    @pytest.mark.parametrize("cmd", list(_VALID_ARGV))
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda a: a + a[1:3],
+            lambda a: [*a[:2], "-3", *a[3:]],
+            lambda a: [*a[:2], "-", *a[3:]],
+            lambda a: [*a[:2], "--", *a[3:]],
+            lambda a: [a[0], "--quiv", *a[2:]],
+            lambda a: [a[0], "--quiver=q", *a[3:]],
+            lambda a: a + ["-h"],
+            lambda a: a + ["--help"],
+            lambda a: a + ["extra"],
+            lambda a: a + [""],
+            lambda a: [a[0], *a[3:]],
+        ],
+        ids=["repeat", "negative", "dash", "double-dash", "abbreviated", "equals",
+             "h", "help", "extra", "empty", "no-quiver"],
+    )
+    def test_leaves_the_rest_to_argparse(self, cmd, edit):
+        argv = [cmd, *_VALID_ARGV[cmd]]
+        assert argv[1:3] == ["--quiver", "q"]
+        assert cli._read_args(edit(argv)) is None
+
+    @pytest.mark.parametrize("cmd", list(_VALID_ARGV))
+    def test_bad_values_are_left_to_argparse(self, cmd):
+        # "x" is no choice, no integer and no vector.
+        for (flag,), kwargs in cli._COMMANDS[cmd][2:]:
+            if "choices" in kwargs or "type" in kwargs:
+                argv = [cmd, *_VALID_ARGV[cmd]]
+                if flag in argv:
+                    argv[argv.index(flag) + 1] = "x"
+                else:
+                    argv += [flag, "x"]
+                assert cli._read_args(argv) is None
+                with pytest.raises(SystemExit), redirect_stderr(io.StringIO()):
+                    cli.build_parser(cmd).parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["-x", "roots"]])
+    def test_no_command_is_left_to_argparse(self, argv):
+        assert cli._read_args(argv) is None

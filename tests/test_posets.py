@@ -2,6 +2,8 @@
 
 import os
 import random
+from collections import Counter
+from itertools import product
 from math import comb, factorial
 
 import numpy as np
@@ -285,6 +287,26 @@ class TestClosedForms:
             counts.append(count_monotone_maps(chain(2), target))
             assert counts[-1] == tamari_intervals(n + 1)
         assert counts == [3, 13, 68, 399, 2530]
+
+    @pytest.mark.parametrize(
+        "n, edges, expected",
+        [
+            (3, [(1, 2), (2, 3)], {68: 2, 70: 2}),
+            (4, [(1, 2), (2, 3), (3, 4)], {399: 2, 422: 4, 433: 2}),
+            (4, [(1, 2), (1, 3), (1, 4)], {578: 6, 622: 2}),
+        ],
+        ids=["A3", "A4", "D4"],
+    )
+    def test_chain2_counts_depend_on_orientation(self, n, edges, expected):
+        # Data, not an invariant: the multiset of counts over all 2^|edges|
+        # orientations of the underlying tree.
+        counts = Counter()
+        for flips in product([False, True], repeat=len(edges)):
+            q = Quiver(n, [(b, a) if f else (a, b) for (a, b), f in zip(edges, flips)])
+            auto = torsion_class_count(q, chain(2))
+            assert torsion_class_count(q, chain(2), method="backtrack") == auto
+            counts[auto] += 1
+        assert counts == expected
 
     def test_antichains_count_all_functions(self, a4, d4):
         for q in (a4, d4):
