@@ -21,7 +21,6 @@ elsewhere filled from ``einv.e_invariant``.  The per-pair predicates
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .einv import e_invariant, e_nonzero, real_schur_roots
 from .errors import BadIndex, CompletionNotFound, NotAPartialOrder, NotAPrecluster
-from .quiver import DimVec, Quiver, support, tits_form, unit
+from .quiver import DimVec, Quiver, Record, support, tits_form, unit
 
 
 def negative_simple(q: Quiver, i: int) -> DimVec:
@@ -132,8 +131,7 @@ def compatible(q: Quiver, u: DimVec, v: DimVec) -> bool:
     return e_invariant(q, u, v) == 0 and e_invariant(q, v, u) == 0
 
 
-@dataclass(frozen=True)
-class Enumeration:
+class Enumeration(Record):
     """A canonically sorted enumeration result.
 
     ``complete`` is False when a height bound truncated the variable set, in
@@ -208,8 +206,7 @@ def _cliques(compat):
     yield from walk((), everyone, everyone)
 
 
-@dataclass(frozen=True, eq=False)
-class ClusterTable:
+class ClusterTable(Record, eq=False):
     """The cluster variables of one quiver, built by ``cluster_table``.
 
     ``variables`` are in canonical order; ``compat`` and ``nz`` are their
@@ -401,8 +398,7 @@ def cluster_leq(q: Quiver, s, t) -> bool:
     return cluster_geq(q, t, s)
 
 
-@dataclass(frozen=True, eq=False)
-class ClusterPoset:
+class ClusterPoset(Record, eq=False):
     """A finite poset of enumerated elements.
 
     ``leq[i, j]`` says element i <= element j; ``hasse`` lists cover pairs

@@ -53,15 +53,19 @@ reference.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
 from itertools import product
+
+# hashlib's own blake2b: hashlib takes blake2 from _blake2, never from
+# OpenSSL, so importing it here skips loading libcrypto and keeps every
+# derived seed bit-identical.
+from _blake2 import blake2b
 
 import numpy as np
 
 from .errors import LimitExceeded, NotDynkin, ProbeExhausted
-from .quiver import DimVec, Quiver, RootSet, positive_real_roots, root_key, tits_form
+from .quiver import DimVec, Quiver, Record, RootSet, positive_real_roots, root_key
+from .quiver import tits_form
 
 # Largest box (number of cells 0 <= w <= top) one fill may cover.  The Z
 # table holds one byte per pair of cells, so this caps it at 64 MiB.
@@ -75,8 +79,7 @@ SWEEP_CELL_LIMIT = 2**20
 _EXACT_LIMIT = 2**53
 
 
-@dataclass(frozen=True)
-class _Summands:
+class _Summands(Record):
     """Generic subvectors of one queried vector.
 
     ``vecs`` are the x' with e(x', x - x') = 0, in (height, lex) order;
@@ -102,12 +105,17 @@ class _Memo:
         self.misses = 0
 
 
+# The memos of at most ``MEMO_QUIVERS`` quivers are kept, the oldest
+# dropped first, so a loop over many orientations holds bounded memory.
+MEMO_QUIVERS = 32
 _MEMOS: dict[Quiver, _Memo] = {}
 
 
 def _memo_for(q: Quiver) -> _Memo:
     memo = _MEMOS.get(q)
     if memo is None:
+        while len(_MEMOS) >= MEMO_QUIVERS:
+            del _MEMOS[next(iter(_MEMOS))]
         memo = _MEMOS[q] = _Memo(q)
     return memo
 
@@ -376,11 +384,10 @@ def e_invariant_alt(q: Quiver, x, y) -> tuple[int, int]:
 def derived_seed(q: Quiver, alpha: DimVec, seed: int, salt: str = "") -> int:
     """Stable per-(quiver, vector) seed so probe runs are reproducible."""
     key = repr((q.n, q.arrows, tuple(alpha), int(seed), salt)).encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+    return int.from_bytes(blake2b(key, digest_size=8).digest(), "big")
 
 
-@dataclass(frozen=True)
-class SchurCheck:
+class SchurCheck(Record):
     """Outcome of a real Schur root test, with its certificate.
 
     ``reason`` is one of: root-table, not-a-root (exact mode); tits-filter,

@@ -14,8 +14,6 @@ same linear extension is the cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .clusters import ClusterPoset, cluster_poset, cluster_table, cover_pairs
@@ -28,7 +26,7 @@ from .errors import (
     NotTransitiveClosure,
     SizeMismatch,
 )
-from .quiver import Quiver, topological_sort
+from .quiver import Quiver, Record, topological_sort
 
 # The largest array a count may allocate: 2^23 float64 cells (64 MiB), as
 # large as einv's table for its largest box.  A step holds up to about
@@ -36,8 +34,7 @@ from .quiver import Quiver, topological_sort
 CELL_LIMIT = 2**23
 
 
-@dataclass(frozen=True, eq=False)
-class FinitePoset:
+class FinitePoset(Record, eq=False):
     """Elements 0..n-1 with a read-only boolean matrix leq[i, j] <=> i <= j."""
 
     n: int

@@ -5,14 +5,25 @@ together with a tuple of arrows ``(source, target)``.  Parallel arrows are
 allowed, loops and oriented cycles are not.  On top of that this module
 provides the Euler form, its symmetrization, simple reflections, and the
 generation of positive real roots as the Weyl orbit of the simple roots.
+
+``Record`` is the base of the package's frozen value classes (``Quiver``,
+``RootSet``, ``clusters.ClusterTable`` and the rest).  A subclass declares
+its fields as class annotations, in order; a class-level value is that
+field's default.  Instances are built positionally or by keyword, then
+``__post_init__`` runs if the class defines one.  Fields cannot be assigned
+or deleted (``AttributeError``); ``cached_property`` still works, since it
+writes the instance dict directly.  Equality, hash and repr are field-wise,
+and ``class X(Record, eq=False)`` keeps identity equality and hashing.  It
+stands in for ``dataclasses``, whose code generation every CLI call would
+otherwise pay for at import.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import attrgetter
 
 from .errors import BadIndex, BoundRequired, CycleDetected, DimensionMismatch, NegativeEntry
 
@@ -66,8 +77,71 @@ def subvectors(x: DimVec):
     return vecs
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Record:
+    """Frozen value class with field-wise equality (see the module docstring)."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__annotations__)
+        # The field values (one value when there is one field); an
+        # attrgetter does not bind, so it is called with the instance.
+        cls._key = attrgetter(*cls._fields)
+        if not eq:
+            cls.__eq__ = object.__eq__
+            cls.__hash__ = object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        # Set one by one, not through self.__dict__: touching __dict__ turns
+        # the instance's inline attribute values into a dict, and every
+        # later attribute read gets slower.
+        for field, value in zip(self._fields, args):
+            object.__setattr__(self, field, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> list:
+        """Every field's value, in order, from a call with keywords or defaults."""
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(args)}")
+        values = dict(zip(cls._fields, args))
+        for field, value in kwargs.items():
+            if field not in cls._fields or field in values:
+                raise TypeError(f"{cls.__name__} got an unknown or repeated field {field!r}")
+            values[field] = value
+        for field in cls._fields:
+            if field not in values:
+                if not hasattr(cls, field):
+                    raise TypeError(f"{cls.__name__} is missing field {field!r}")
+                values[field] = getattr(cls, field)  # the class-level default
+        return [values[field] for field in cls._fields]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign to {field!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete {field!r}: {type(self).__name__} is frozen")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class Quiver(Record):
     """A finite acyclic quiver on vertices 1..n.
 
     Construction validates arrow endpoints and rejects oriented cycles, so a
@@ -194,8 +268,7 @@ def reflect(q: Quiver, i: int, x: DimVec) -> DimVec:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(Record):
     """Positive real roots of a quiver, canonically sorted.
 
     ``complete`` is True only when the reflection closure terminated on its

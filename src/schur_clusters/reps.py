@@ -17,7 +17,6 @@ image bases reduced once per (generator, module, vertex).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,13 +33,12 @@ from .errors import (
     SizeMismatch,
 )
 from .linalg import echelon_basis, nullspace, rank
-from .quiver import DimVec, Quiver, euler_form, support, tits_form
+from .quiver import DimVec, Quiver, Record, euler_form, support, tits_form
 
 Matrix = tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """Matrices over Q for each arrow; matrices[a] has shape dims[t] x dims[s].
 
     Equality is field-wise.  The hash is computed once per instance: the
@@ -223,8 +221,7 @@ def _positive(v) -> bool:
     return any(a > 0 for a in v)
 
 
-@dataclass(frozen=True)
-class ModuleList:
+class ModuleList(Record):
     """Labeled modules realizing a precluster, in canonical label order.
 
     Negative simple labels carry the zero module (they mark vertices removed

@@ -1,5 +1,6 @@
 """Extension invariant: recursion, one-sided forms, Schur root detection."""
 
+import hashlib
 import os
 import random
 from itertools import product
@@ -374,6 +375,21 @@ class TestMemo:
         e_invariant(q, (2, 2), (2, 2))
         assert e_cache_stats(q)["hits"] > hits
 
+    def test_memo_table_is_bounded(self, monkeypatch):
+        # One quiver past the cap drops the oldest memo; its values come
+        # back unchanged from a fresh one.
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        quivers = [Quiver(2, [(1, 2)] * k) for k in range(1, einv.MEMO_QUIVERS + 2)]
+        x, y = (1, 2), (2, 1)
+        first = [e_invariant(q, x, y) for q in quivers]
+        assert len(einv._MEMOS) == einv.MEMO_QUIVERS
+        assert quivers[0] not in einv._MEMOS and quivers[-1] in einv._MEMOS
+        oracle = PairRecursionOracle(2, [(1, 2)])
+        assert e_invariant(quivers[0], x, y) == first[0] == oracle.e(x, y)
+        assert generic_summands(quivers[0], x) == oracle.summands(x)
+        assert len(einv._MEMOS) == einv.MEMO_QUIVERS
+        assert quivers[1] not in einv._MEMOS
+
     def test_clear_caches(self, kronecker):
         e_invariant(kronecker, (2, 3), (3, 2))
         e_invariant(kronecker, (2, 3), (3, 2))
@@ -427,6 +443,21 @@ class TestSchurRootCheck:
         assert s1 != derived_seed(a2, (1, 1), 1)
         assert s1 != derived_seed(a2, (1, 0), 0)
         assert s1 != derived_seed(a2, (1, 1), 0, salt="x")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        small_quivers(),
+        st.data(),
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.text(max_size=6),
+    )
+    def test_derived_seed_is_hashlib_blake2b(self, q, data, seed, salt):
+        # The seed stream behind every seeded output (the golden stilt
+        # files among them) is hashlib's 8-byte blake2b of this key.
+        alpha = data.draw(st.lists(st.integers(-3, 40), min_size=q.n, max_size=q.n))
+        key = repr((q.n, q.arrows, tuple(alpha), seed, salt)).encode()
+        expected = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+        assert derived_seed(q, alpha, seed, salt) == expected
 
 
 class TestRealSchurRoots:

@@ -521,6 +521,29 @@ class TestCli:
         code, mods = run(*plain_count, "--bogus")
         assert code == 2 and "argparse" in mods
 
+    def test_plain_calls_load_no_openssl_or_dataclasses(self, quiver_file, a2, wild):
+        # Probe seeds come from _blake2 and the value classes from
+        # quiver.Record, so no call loads hashlib (OpenSSL) or dataclasses.
+        wpath = quiver_file("wild.quiver", wild)
+        apath = quiver_file("a2.quiver", a2)
+        calls = [
+            ["schur", "--quiver", wpath, "--bound", "4"],
+            ["stilt", "--quiver", apath],
+            ["einv", "--quiver", wpath, "--x", "1,1,1", "--y", "1,2,1"],
+        ]
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from schur_clusters.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "mods = [m for m in ('_hashlib', 'hashlib', 'dataclasses') if m in sys.modules]\n"
+            "print(json.dumps([codes, mods]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(calls)], capture_output=True, text=True
+        )
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], []], proc.stderr
+
     def test_module_entry_point_help(self):
         # main(None) reads sys.argv, which the in-process tests never reach.
         def run(*argv):

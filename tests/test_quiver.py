@@ -1,11 +1,22 @@
 """Quiver construction, bilinear forms, reflections and root enumeration."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schur_clusters import (
+    FinitePoset,
+    ModuleList,
     Quiver,
+    SchurCheck,
+    build_poset,
+    chain,
+    cluster_poset,
+    cluster_table,
+    enumerate_clusters,
     errors,
     euler_form,
     positive_real_roots,
@@ -15,6 +26,7 @@ from schur_clusters import (
     tits_form,
 )
 from schur_clusters.quiver import subvectors, unit
+from schur_clusters.reps import make_representation
 
 from oracles import (
     projectives_oracle,
@@ -74,6 +86,102 @@ class TestConstruction:
         with pytest.raises(errors.NegativeEntry):
             a2.check_dimvec((-1, 0))
         assert a2.check_dimvec((-1, 0), allow_negative=True) == (-1, 0)
+
+
+def _equal_records(a2):
+    """Builders of two equal, distinct instances of each field-wise class."""
+
+    def rep():
+        return make_representation(a2, (1, 1), [[[Fraction(2)]]])
+
+    return {
+        "Quiver": lambda: Quiver(2, [(1, 2)]),
+        "Representation": rep,
+        "RootSet": lambda: positive_real_roots(a2),
+        "Enumeration": lambda: enumerate_clusters(a2),
+        "SchurCheck": lambda: SchurCheck(True, "probe", "probe-verified", 7, rep()),
+        "ModuleList": lambda: ModuleList((((1, 1), rep()),)),
+    }
+
+
+class TestRecord:
+    """The frozen value classes built on ``quiver.Record``."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["Enumeration", "ModuleList", "Quiver", "Representation", "RootSet", "SchurCheck"],
+    )
+    def test_field_wise_equality_and_hash(self, a2, name):
+        build = _equal_records(a2)[name]
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert not (a != b)
+        assert a != object()
+
+    def test_a_differing_field_breaks_equality(self, a2):
+        assert Quiver(2, [(1, 2)]) != Quiver(2, [(2, 1)])
+        assert SchurCheck(True, "exact", "root-table") != SchurCheck(
+            True, "exact", "root-table", seed=0
+        )
+        z = make_representation(a2, (1, 1), [[[0]]])
+        assert z != make_representation(a2, (1, 1), [[[1]]])
+        assert len({Quiver(2, [(1, 2)]), Quiver(2, [(1, 2)]), Quiver(2, [])}) == 2
+
+    def test_identity_equality(self, a2):
+        pairs = [
+            (cluster_table(a2), cluster_table(a2)),
+            (cluster_poset(cluster_table(a2)), cluster_poset(cluster_table(a2))),
+            (chain(2), chain(2)),
+        ]
+        for a, b in pairs:
+            assert a == a and a != b
+            assert hash(a) == object.__hash__(a)
+
+    def test_fields_are_frozen(self, a2):
+        table = cluster_table(a2)
+        for obj, field in [(a2, "n"), (table, "compat"), (chain(2), "names"),
+                           (SchurCheck(True, "exact", "root-table"), "seed")]:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+        with pytest.raises(AttributeError):
+            a2.extra = 1
+        assert a2.n == 2
+
+    def test_keywords_and_defaults(self):
+        check = SchurCheck(reason="root-table", ok=True, mode="exact")
+        assert check == SchurCheck(True, "exact", "root-table")
+        assert check.seed is None and check.rep is None
+        leq = np.eye(2, dtype=bool)
+        assert FinitePoset(2, leq).names is None
+        named = FinitePoset(n=2, leq=leq, names=("a", "b"))
+        assert named.names == ("a", "b") and named.n == 2 and named.leq is leq
+        assert build_poset(1, covers=[]).names is None
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((2,), {}), ((), {"arrows": []}), ((2, [], 3), {}),
+         ((2, []), {"extra": 1}), ((2, []), {"n": 2}), ((2,), {"arrows": [], "n": 2})],
+    )
+    def test_bad_fields_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            Quiver(*args, **kwargs)
+
+    def test_post_init_normalizes_arrows(self):
+        assert Quiver(2, [(1, 2)]).arrows == ((1, 2),)
+        assert Quiver(arrows=[[1, 2]], n=2).arrows == ((1, 2),)
+        assert repr(Quiver(2, [(1, 2)])) == "Quiver(n=2, arrows=((1, 2),))"
+
+    def test_cached_properties(self, a2):
+        q = Quiver(2, [(1, 2)])
+        assert "euler_matrix" not in vars(q)
+        assert q.euler_matrix is q.euler_matrix == ((1, -1), (0, 1))
+        assert "euler_matrix" in vars(q) and q == a2
+        table = cluster_table(a2)
+        assert "clusters" not in vars(table)
+        assert table.clusters is table.clusters and len(table.clusters) == 5
+        assert table.members is table.members
 
 
 class TestForms:
