@@ -25,7 +25,7 @@ from itertools import product
 from types import SimpleNamespace
 
 from . import clusters as cl
-from . import einv, fileio, output, posets, reps
+from . import einv, fileio, output, reps
 from .errors import (
     LimitExceeded,
     NotAPrecluster,
@@ -275,7 +275,7 @@ def cmd_stilt(args):
 def cmd_torsion_count(args):
     q = fileio.parse_quiver_file(args.quiver)
     p = fileio.parse_poset_file(args.poset)
-    count = posets.torsion_class_count(q, p, method=args.method)
+    count = cl.torsion_class_count(q, p, method=args.method)
     if args.format == "text":
         return f"{count}\n", 0
     return output.emit_json({"meta": _meta(args), "count": count}), 0

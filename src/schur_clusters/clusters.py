@@ -27,7 +27,8 @@ from itertools import combinations
 import numpy as np
 
 from .einv import e_invariant, e_nonzero, real_schur_roots
-from .errors import BadIndex, CompletionNotFound, NotAPartialOrder, NotAPrecluster
+from .errors import BadIndex, CompletionNotFound, NotAPrecluster, NotDynkin
+from .posets import FinitePoset, assemble_poset, count_monotone_maps
 from .quiver import DimVec, Quiver, Record, support, tits_form, unit
 
 
@@ -398,86 +399,7 @@ def cluster_leq(q: Quiver, s, t) -> bool:
     return cluster_geq(q, t, s)
 
 
-class ClusterPoset(Record, eq=False):
-    """A finite poset of enumerated elements.
-
-    ``leq[i, j]`` says element i <= element j; ``hasse`` lists cover pairs
-    (i, j) with i covered by j.  ``top``/``bottom`` are element indices, or
-    None when the (possibly truncated) set has no greatest/least element.
-    """
-
-    elements: tuple
-    leq: np.ndarray
-    hasse: tuple[tuple[int, int], ...]
-    top: int | None
-    bottom: int | None
-    complete: bool
-    height_bound: int | None
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def _covers(lt, lt2) -> tuple[tuple[int, int], ...]:
-    """Cover pairs from the strict order ``lt`` and its square ``lt2``."""
-    return tuple((int(i), int(j)) for i, j in np.argwhere(lt & ~lt2))
-
-
-def cover_pairs(leq) -> tuple[tuple[int, int], ...]:
-    """Cover pairs (i, j), i covered by j, of an order matrix: i < j with
-    nothing strictly between.  Boolean products are exact at any size."""
-    lt = np.asarray(leq, dtype=bool) & ~np.eye(len(leq), dtype=bool)
-    return _covers(lt, lt @ lt)
-
-
-def assemble_poset(elements, leq, complete: bool, height_bound) -> ClusterPoset:
-    """Verify the order axioms on a relation matrix and package the poset.
-
-    Raises NotAPartialOrder with a concrete witness if reflexivity,
-    antisymmetry or transitivity fails.  For a reflexive ``leq``,
-    ``leq @ leq`` is ``leq | (lt @ lt)`` with ``lt`` the strict part, so one
-    square ``lt @ lt`` serves the transitivity check and the covers.
-    """
-    leq = np.asarray(leq, dtype=bool)
-    m = len(elements)
-    if leq.shape != (m, m):
-        raise NotAPartialOrder(f"relation shape {leq.shape} for {m} elements")
-    diag = np.diagonal(leq)
-    if not diag.all():
-        i = int(np.flatnonzero(~diag)[0])
-        raise NotAPartialOrder(f"not reflexive at element {i}", index=i)
-    lt = leq & ~np.eye(m, dtype=bool)
-    sym = lt & lt.T
-    if sym.any():
-        i, j = map(int, np.argwhere(sym)[0])
-        raise NotAPartialOrder(
-            f"antisymmetry fails: elements {i} and {j} compare both ways",
-            pair=(i, j),
-        )
-    lt2 = lt @ lt
-    gap = lt2 & ~leq
-    if gap.any():
-        i, j = map(int, np.argwhere(gap)[0])
-        raise NotAPartialOrder(
-            f"transitivity fails: a path joins {i} to {j} but leq does not",
-            pair=(i, j),
-        )
-    bottoms = np.flatnonzero(leq.all(axis=1))
-    tops = np.flatnonzero(leq.all(axis=0))
-    leq = leq.copy()
-    leq.setflags(write=False)
-    return ClusterPoset(
-        elements=tuple(elements),
-        leq=leq,
-        hasse=_covers(lt, lt2),
-        top=int(tops[0]) if len(tops) else None,
-        bottom=int(bottoms[0]) if len(bottoms) else None,
-        complete=complete,
-        height_bound=height_bound,
-    )
-
-
-def cluster_poset(table: ClusterTable) -> ClusterPoset:
+def cluster_poset(table: ClusterTable) -> FinitePoset:
     """The clusters of ``table`` under the cluster order, with verified axioms.
 
     The order of ``cluster_geq`` for every pair at once: with ``nz[a, b]``
@@ -491,3 +413,25 @@ def cluster_poset(table: ClusterTable) -> ClusterPoset:
     geq = ~(members @ table.nz @ members.T) & ~(neg @ ~neg.T)
     items = table.enumeration(table.clusters).items
     return assemble_poset(items, geq.T, table.complete, table.height_bound)
+
+
+def as_finite_poset(cp: FinitePoset) -> FinitePoset:
+    """The poset ``cp`` with each element relabelled by a string: a cluster
+    as its comma-joined variables, anything else by ``str``."""
+    names = [
+        ", ".join(map(format_variable, el)) if isinstance(el, tuple) else str(el)
+        for el in cp.elements
+    ]
+    return assemble_poset(names, cp.leq, cp.complete, cp.height_bound)
+
+
+def torsion_class_count(q: Quiver, p: FinitePoset, method: str = "auto") -> int:
+    """Number of monotone maps from p into the cluster poset of q.
+
+    For a base ring whose spectrum is the finite poset p, this counts the
+    torsion classes of the quiver algebra over that ring.  Needs a Dynkin
+    quiver (the cluster poset must be finite and complete).
+    """
+    if not q.is_dynkin:
+        raise NotDynkin("torsion class counting needs a Dynkin quiver")
+    return count_monotone_maps(p, cluster_poset(cluster_table(q)), method)

@@ -64,12 +64,18 @@ class NotAPartialOrder(SchurClustersError):
     code = "not-a-partial-order"
 
 
-class NotAntisymmetric(SchurClustersError):
+class NotAntisymmetric(NotAPartialOrder):
     code = "not-antisymmetric"
 
+    def __init__(self, i: int, j: int):
+        super().__init__(f"elements {i} and {j} compare both ways", pair=(i, j))
 
-class NotTransitiveClosure(SchurClustersError):
+
+class NotTransitiveClosure(NotAPartialOrder):
     code = "not-transitive-closure"
+
+    def __init__(self, i: int, j: int):
+        super().__init__(f"relation misses implied pair ({i}, {j})", pair=(i, j))
 
 
 class SizeMismatch(SchurClustersError):

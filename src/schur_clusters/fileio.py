@@ -6,13 +6,14 @@ arrow ``<source> <target>`` with 1-based vertices.  Emission is canonical,
 so parse(emit(q)) round-trips bit-exactly.
 
 Poset files use the same conventions with cover lines ``<lower> <upper>``
-(1-based); the transitive closure is taken automatically.
+(1-based); the transitive closure is taken automatically, and a cycle is
+reported in the file's own numbering.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError
-from .posets import FinitePoset, build_poset, covers_of
+from .errors import NotAntisymmetric, ParseError
+from .posets import FinitePoset, build_poset
 from .quiver import Quiver
 
 
@@ -73,7 +74,10 @@ def parse_poset_text(text: str) -> FinitePoset:
     for no, a, b in pairs:
         if a == b:
             raise ParseError(no, f"cover {a} {b} relates an element to itself")
-    return build_poset(n, covers=[(a - 1, b - 1) for _, a, b in pairs])
+    try:
+        return build_poset(n, covers=[(a - 1, b - 1) for _, a, b in pairs])
+    except NotAntisymmetric as exc:  # name the cycle in the file's 1-based numbering
+        raise NotAntisymmetric(*(k + 1 for k in exc.info["pair"])) from None
 
 
 def parse_poset_file(path) -> FinitePoset:
@@ -83,5 +87,5 @@ def parse_poset_file(path) -> FinitePoset:
 
 def emit_poset_text(p: FinitePoset) -> str:
     lines = [f"n {p.n}"]
-    lines.extend(f"{i + 1} {j + 1}" for i, j in covers_of(p))
+    lines.extend(f"{i + 1} {j + 1}" for i, j in p.hasse)
     return "\n".join(lines) + "\n"

@@ -2,31 +2,32 @@
 
 Torsion classes over a base ring with finite prime spectrum correspond to
 order-preserving maps from the spectrum poset into the cluster poset of
-the quiver.  Counting contracts the codomain's zeta matrix Z along a
-linear extension of the source (Stanley, Enumerative Combinatorics I,
-3.12), with one array axis per placed element that still has an upper
-cover to place.  Counts are exact: each is held in float64 digits of
-base 2^b, as many as |L|^|P| needs, with |L|·2^b < 2^52.  Arrays over
-``CELL_LIMIT`` cells, digits included, are refused with LimitExceeded
-up front, even where a sparse search could run.  A backtracking search over the
-same linear extension is the cross-check.
+the quiver.  Both ends are one type, ``FinitePoset``, built and validated
+only by ``assemble_poset``: source posets through ``build_poset``, cluster
+and support tilting posets directly.  Counting contracts the codomain's
+zeta matrix Z along a linear extension of the source (Stanley,
+Enumerative Combinatorics I, 3.12), with one array axis per placed
+element that still has an upper cover to place.  Counts are exact: each
+is held in float64 digits of base 2^b, as many as |L|^|P| needs, with
+|L|·2^b < 2^52.  Arrays over ``CELL_LIMIT`` cells, digits included, are
+refused with LimitExceeded up front, even where a sparse search could
+run.  A backtracking search over the same linear extension is the
+cross-check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .clusters import ClusterPoset, cluster_poset, cluster_table, cover_pairs
-from .clusters import format_variable
 from .errors import (
     BadIndex,
     LimitExceeded,
     NotAntisymmetric,
-    NotDynkin,
+    NotAPartialOrder,
     NotTransitiveClosure,
     SizeMismatch,
 )
-from .quiver import Quiver, Record, topological_sort
+from .quiver import Record, topological_sort
 
 # The largest array a count may allocate: 2^23 float64 cells (64 MiB), as
 # large as einv's table for its largest box.  A step holds up to about
@@ -35,14 +36,79 @@ CELL_LIMIT = 2**23
 
 
 class FinitePoset(Record, eq=False):
-    """Elements 0..n-1 with a read-only boolean matrix leq[i, j] <=> i <= j."""
+    """A finite poset, built and validated by ``assemble_poset``.
 
-    n: int
+    ``leq[i, j]`` (read-only bool) says element i <= element j; ``hasse``
+    lists the cover pairs (i, j), i covered by j, in row-major order.
+    ``top``/``bottom`` are element indices, or None when there is no
+    greatest/least element.  ``complete`` is False when a height bound
+    truncated the elements, which are then those within ``height_bound``.
+    """
+
+    elements: tuple
     leq: np.ndarray
-    names: tuple[str, ...] | None = None
+    hasse: tuple[tuple[int, int], ...]
+    top: int | None
+    bottom: int | None
+    complete: bool = True
+    height_bound: int | None = None
+
+    @property
+    def n(self) -> int:
+        return len(self.elements)
 
     def __len__(self):
-        return self.n
+        return len(self.elements)
+
+
+def _covers(lt, lt2) -> tuple[tuple[int, int], ...]:
+    """Cover pairs from the strict order ``lt`` and its square ``lt2``."""
+    return tuple(map(tuple, np.argwhere(lt & ~lt2).tolist()))
+
+
+def cover_pairs(leq) -> tuple[tuple[int, int], ...]:
+    """Cover pairs (i, j), i covered by j, of an order matrix: i < j with
+    nothing strictly between.  Boolean products are exact at any size."""
+    lt = np.asarray(leq, dtype=bool) & ~np.eye(len(leq), dtype=bool)
+    return _covers(lt, lt @ lt)
+
+
+def assemble_poset(elements, leq, complete: bool = True, height_bound=None) -> FinitePoset:
+    """Verify the order axioms on a relation matrix and package the poset.
+
+    Raises NotAPartialOrder if reflexivity fails, NotAntisymmetric or
+    NotTransitiveClosure (both NotAPartialOrder) if antisymmetry or
+    transitivity does, each with the first witness in row-major order.
+    For a reflexive ``leq``, ``leq @ leq`` is ``leq | (lt @ lt)`` with
+    ``lt`` the strict part, so one square ``lt @ lt`` serves the
+    transitivity check and the covers.
+    """
+    leq = np.asarray(leq, dtype=bool)
+    m = len(elements)
+    if leq.shape != (m, m):
+        raise NotAPartialOrder(f"relation shape {leq.shape} for {m} elements")
+    diag = leq.diagonal()
+    if not diag.all():
+        i = int(np.flatnonzero(~diag)[0])
+        raise NotAPartialOrder(f"not reflexive at element {i}", index=i)
+    lt = leq & ~np.eye(m, dtype=bool)
+    sym = lt & lt.T
+    if sym.any():
+        raise NotAntisymmetric(*map(int, np.argwhere(sym)[0]))
+    lt2 = lt @ lt
+    gap = lt2 & ~leq
+    if gap.any():
+        raise NotTransitiveClosure(*map(int, np.argwhere(gap)[0]))
+    bottoms = np.flatnonzero(leq.all(axis=1))
+    tops = np.flatnonzero(leq.all(axis=0))
+    leq = leq.copy()
+    leq.setflags(write=False)
+    top = int(tops[0]) if len(tops) else None
+    bottom = int(bottoms[0]) if len(bottoms) else None
+    # Positional: a keyword call binds through Record._bind, several times slower.
+    return FinitePoset(
+        tuple(elements), leq, _covers(lt, lt2), top, bottom, complete, height_bound
+    )
 
 
 def _closure(mat: np.ndarray) -> np.ndarray:
@@ -56,46 +122,33 @@ def build_poset(n: int, relation=None, covers=None, names=None) -> FinitePoset:
     """Build a validated poset from either a full relation or a cover list.
 
     ``relation``: iterable of (i, j) pairs meaning i <= j, or a full boolean
-    matrix.  Reflexivity is added; the relation must already be transitively
-    closed, otherwise NotTransitiveClosure is raised.  ``covers``: iterable
-    of (i, j) pairs meaning i < j; the transitive closure is computed.
-    Cycles surface as antisymmetry failures in both modes.  Indices are
-    0-based.
+    matrix; it must already be transitively closed, otherwise
+    NotTransitiveClosure is raised.  ``covers``: iterable of (i, j) pairs
+    meaning i < j, whose transitive closure is taken.  Reflexivity is added
+    in both modes, and cycles surface as NotAntisymmetric.  Indices are
+    0-based.  ``names`` become the elements, 0..n-1 by default.
     """
     if n < 0:
         raise BadIndex(f"poset size must be >= 0, got {n}")
     if (relation is None) == (covers is None):
         raise ValueError("pass exactly one of relation= or covers=")
-    mat = np.zeros((n, n), dtype=bool)
-    pairs = relation if relation is not None else covers
-    if relation is not None and isinstance(relation, np.ndarray):
+    if isinstance(relation, np.ndarray):
         if relation.shape != (n, n):
             raise SizeMismatch(f"relation shape {relation.shape} for n={n}")
-        mat = relation.astype(bool).copy()
+        mat = relation.astype(bool)
     else:
-        for i, j in pairs:
+        mat = np.zeros((n, n), dtype=bool)
+        for i, j in relation if relation is not None else covers:
             if not (0 <= i < n and 0 <= j < n):
                 raise BadIndex(f"pair ({i}, {j}) out of range for n={n}")
             mat[i, j] = True
     np.fill_diagonal(mat, True)
-    closed = _closure(mat)
-    if relation is not None and (closed & ~mat).any():
-        i, j = map(int, np.argwhere(closed & ~mat)[0])
-        raise NotTransitiveClosure(
-            f"relation misses implied pair ({i}, {j})", pair=(i, j)
-        )
-    mat = closed
-    sym = mat & mat.T
-    np.fill_diagonal(sym, False)
-    if sym.any():
-        i, j = map(int, np.argwhere(sym)[0])
-        raise NotAntisymmetric(f"elements {i} and {j} compare both ways", pair=(i, j))
-    mat.setflags(write=False)
-    if names is not None:
-        names = tuple(str(s) for s in names)
-        if len(names) != n:
-            raise SizeMismatch(f"{len(names)} names for {n} elements")
-    return FinitePoset(n, mat, names)
+    if covers is not None:
+        mat = _closure(mat)
+    elements = tuple(range(n)) if names is None else tuple(names)
+    if len(elements) != n:
+        raise SizeMismatch(f"{len(elements)} names for {n} elements")
+    return assemble_poset(elements, mat)
 
 
 def chain(k: int) -> FinitePoset:
@@ -105,24 +158,6 @@ def chain(k: int) -> FinitePoset:
 
 def antichain(k: int) -> FinitePoset:
     return build_poset(k, covers=[])
-
-
-def as_finite_poset(cp: ClusterPoset) -> FinitePoset:
-    """View an assembled cluster (or tilting) poset as a bare FinitePoset."""
-    names = []
-    for el in cp.elements:
-        if isinstance(el, tuple):
-            names.append(", ".join(format_variable(v) for v in el))
-        else:
-            names.append(str(el))
-    mat = cp.leq.copy()
-    mat.setflags(write=False)
-    return FinitePoset(len(cp.elements), mat, tuple(names))
-
-
-def covers_of(p: FinitePoset) -> tuple[tuple[int, int], ...]:
-    """Cover pairs (i, j), i covered by j: the transitive reduction."""
-    return cover_pairs(p.leq)
 
 
 def is_monotone(f, p: FinitePoset, l: FinitePoset) -> bool:
@@ -146,7 +181,7 @@ def _monotone_walk(p: FinitePoset, l: FinitePoset):
 
     The yielded list, indexed by p's elements, is reused: copy it to keep it.
     """
-    order = topological_sort(p.n, covers_of(p))
+    order = topological_sort(p.n, p.hasse)
     preds = [[c for c in order[:k] if p.leq[c, e]] for k, e in enumerate(order)]
     assign = [0] * p.n
 
@@ -183,7 +218,7 @@ def _count_contraction(p: FinitePoset, l: FinitePoset) -> int:
     on its axis 0; a product or a one-axis sum makes digits below
     |l|·2^b < 2^52, exact in float64, and carrying brings them below 2^b.
     """
-    covers = covers_of(p)
+    covers = p.hasse
     order = topological_sort(p.n, covers)
     step = {e: k for k, e in enumerate(order)}
     lower = [[] for _ in range(p.n)]
@@ -266,15 +301,3 @@ def map_poset_leq(f, g, p: FinitePoset, l: FinitePoset) -> bool:
     g = _check_map(g, p, l)
     return all(l.leq[f[i], g[i]] for i in range(p.n))
 
-
-def torsion_class_count(q: Quiver, p: FinitePoset, method: str = "auto") -> int:
-    """Number of monotone maps from p into the cluster poset of q.
-
-    For a base ring whose spectrum is the finite poset p, this counts the
-    torsion classes of the quiver algebra over that ring.  Needs a Dynkin
-    quiver (the cluster poset must be finite and complete).
-    """
-    if not q.is_dynkin:
-        raise NotDynkin("torsion class counting needs a Dynkin quiver")
-    cp = cluster_poset(cluster_table(q))  # read-only leq; the count reads no labels
-    return count_monotone_maps(p, FinitePoset(len(cp.elements), cp.leq), method)

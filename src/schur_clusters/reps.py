@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clusters import ClusterTable, assemble_poset, is_precluster, var_key
+from .clusters import ClusterTable, is_precluster, var_key
 from .einv import derived_seed
 from .errors import (
     DimensionMismatch,
@@ -33,6 +33,7 @@ from .errors import (
     SizeMismatch,
 )
 from .linalg import echelon_basis, nullspace, rank
+from .posets import assemble_poset
 from .quiver import DimVec, Quiver, Record, euler_form, support, tits_form
 
 Matrix = tuple[tuple, ...]

@@ -30,7 +30,8 @@ from schur_clusters import (
     positive_real_roots,
     projective_dimension_vectors,
 )
-from schur_clusters.clusters import _compat_matrix, assemble_poset, cover_pairs, var_key
+from schur_clusters.clusters import _compat_matrix, assemble_poset, var_key
+from schur_clusters.posets import cover_pairs
 
 from oracles import random_poset_matrix
 
@@ -309,6 +310,24 @@ class TestClusterPoset:
         assert len(cp.hasse) == 9
 
 
+def _first_failure(leq):
+    """The first order-axiom failure of a square bool list matrix, scanning
+    row-major: reflexivity, then antisymmetry, then transitivity.  Returns
+    (error class, info key, witness)."""
+    n = len(leq)
+    for i in range(n):
+        if not leq[i][i]:
+            return errors.NotAPartialOrder, "index", i
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for i, j in pairs:
+        if leq[i][j] and leq[j][i]:
+            return errors.NotAntisymmetric, "pair", (i, j)
+    for i, j in pairs:
+        if not leq[i][j] and any(leq[i][k] and leq[k][j] for k in range(n)):
+            return errors.NotTransitiveClosure, "pair", (i, j)
+    raise AssertionError("a partial order")
+
+
 class TestAssembleGuards:
     def test_bad_relation_rejected(self, a2):
         leq = np.zeros((2, 2), dtype=bool)  # not reflexive
@@ -349,6 +368,27 @@ class TestAssembleGuards:
                 if lt[i, j] and not any(lt[i, k] and lt[k, j] for k in range(n))
             }
             assert set(poset.hasse) == covers
+            # Break the order once per axiom: the validator must name the
+            # first failure that a row-major scan finds.
+            strict = [(int(i), int(j)) for i, j in np.argwhere(lt)]
+            implied = [pair for pair in strict if pair not in covers]
+            broken = []
+            if n:
+                k = rng.randrange(n)
+                broken.append(((k, k), False))
+            if strict:
+                i, j = rng.choice(strict)
+                broken.append(((j, i), True))
+            if implied:
+                broken.append((rng.choice(implied), False))
+            for (i, j), value in broken:
+                bad = leq.copy()
+                bad[i, j] = value
+                cls, key, witness = _first_failure(bad.tolist())
+                with pytest.raises(errors.NotAPartialOrder) as info:
+                    assemble_poset(list(range(n)), bad, True, None)
+                assert type(info.value) is cls
+                assert info.value.info[key] == witness
 
 
 class TestOrientationCovariance:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schur_clusters import Quiver, cli, einv, errors
+from schur_clusters import Quiver, build_poset, cli, einv, errors
 from schur_clusters.cli import main
 from schur_clusters.fileio import (
     emit_poset_text,
@@ -31,7 +32,7 @@ from schur_clusters.output import (
 )
 from schur_clusters.reps import make_representation
 
-from oracles import e_sweep_oracle
+from oracles import e_sweep_oracle, random_poset_matrix
 
 
 class TestQuiverText:
@@ -66,16 +67,21 @@ class TestPosetText:
         p = parse_poset_text("n 4\n1 2\n2 3\n2 4\n")
         assert p.n == 4
         assert bool(p.leq[0, 3])
-        again = parse_poset_text(emit_poset_text(p))
-        assert np.array_equal(np.asarray(again.leq), np.asarray(p.leq))
+        rng = random.Random(41)
+        orders = [np.array(random_poset_matrix(rng, rng.randint(1, 9))) for _ in range(40)]
+        for p in [p] + [build_poset(len(leq), relation=leq) for leq in orders]:
+            again = parse_poset_text(emit_poset_text(p))
+            assert np.array_equal(again.leq, p.leq)
+            assert again.hasse == p.hasse
 
     def test_self_cover_rejected(self):
         with pytest.raises(errors.ParseError):
             parse_poset_text("n 2\n1 1\n")
 
     def test_cycle_rejected(self):
-        with pytest.raises(errors.NotAntisymmetric):
-            parse_poset_text("n 2\n1 2\n2 1\n")
+        with pytest.raises(errors.NotAntisymmetric) as info:
+            parse_poset_text("n 3\n1 2\n2 3\n3 2\n")
+        assert info.value.info["pair"] == (2, 3)  # the file's own numbering
 
 
 class TestOutputHelpers:

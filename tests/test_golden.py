@@ -2,11 +2,13 @@
 
 The fixtures under ``tests/golden/`` hold the stdout of the invocations
 below: criterion 8's determinism set plus the all-preclusters path on D4
-and the incomplete (height-bounded) poset on the Kronecker quiver.  Outputs
-too large to keep as files (E6, E8, A5 DOT, D4 and E6 ``stilt``, E6
-``verify``) are pinned by the sha256 of their stdout in ``digests.json``;
-E8, E6 ``stilt`` and E6 ``verify`` run only under ``SCHUR_CLUSTERS_LARGE=1``.  After an intended output change, regenerate
-both with
+and the incomplete (height-bounded) poset on the Kronecker quiver.
+Outputs too large to keep as files (E6, E8, A5 DOT, D4 and E6 ``stilt``,
+E6 ``verify``) are pinned by the sha256 of their stdout in
+``digests.json``; E8, E6 ``stilt`` and E6 ``verify`` run only under
+``SCHUR_CLUSTERS_LARGE=1``.  ``REFUSALS`` pins the one stderr line and the
+exit status of refused calls.  After an intended output change,
+regenerate the files and digests with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -65,17 +67,39 @@ DIGEST_INVOCATIONS = {
     "stilt-e6-s5.json": ["stilt", "--quiver", _in("e6.quiver"), "--seed", "5"],
     "verify-e6.txt": ["verify", "--quiver", _in("e6.quiver")],
 }
+REFUSALS = {
+    "torsion-count-cycle": (
+        ["torsion-count", "--quiver", _in("a2.quiver"), "--poset", _in("cycle.poset")],
+        "error[not-antisymmetric]: elements 1 and 2 compare both ways",
+        1,
+    ),
+    "torsion-count-kron": (
+        ["torsion-count", "--quiver", _in("kron.quiver"), "--poset", _in("p.poset")],
+        "error[not-dynkin]: torsion class counting needs a Dynkin quiver",
+        1,
+    ),
+    "stilt-kron": (
+        ["stilt", "--quiver", _in("kron.quiver")],
+        "error[not-dynkin]: the support tilting poset needs a Dynkin quiver",
+        1,
+    ),
+}
 LARGE_DIGESTS = {"clusters-e8.json", "stilt-e6-s5.json", "verify-e6.txt"}
 DIGESTS = GOLDEN / "digests.json"
 
 
-def run_cli(argv) -> bytes:
-    """Stdout of one CLI call in a fresh interpreter."""
-    proc = subprocess.run(
+def _run(argv) -> subprocess.CompletedProcess:
+    """One CLI call in a fresh interpreter."""
+    return subprocess.run(
         [sys.executable, "-m", "schur_clusters", *argv],
         capture_output=True,
         timeout=120,
     )
+
+
+def run_cli(argv) -> bytes:
+    """Stdout of one CLI call that must succeed."""
+    proc = _run(argv)
     assert proc.returncode == 0, (argv, proc.stderr.decode())
     return proc.stdout
 
@@ -93,6 +117,13 @@ def test_cli_stdout_matches_digest(name):
     expected = json.loads(DIGESTS.read_text())[name]
     digest = hashlib.sha256(run_cli(DIGEST_INVOCATIONS[name])).hexdigest()
     assert digest == expected, name
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_cli_refusal_matches_golden(name):
+    argv, line, status = REFUSALS[name]
+    proc = _run(argv)
+    assert (proc.stdout, proc.stderr.decode(), proc.returncode) == (b"", line + "\n", status)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from schur_clusters import (
     cluster_poset,
     cluster_table,
     count_monotone_maps,
-    covers_of,
     enumerate_monotone_maps,
     errors,
     is_monotone,
@@ -140,14 +139,15 @@ class TestBuild:
         a = antichain(3)
         assert int(np.asarray(a.leq).sum()) == 3
 
-    def test_covers_of_recovers_input(self):
-        p = build_poset(4, covers=[(0, 1), (1, 2), (1, 3)])
-        assert sorted(covers_of(p)) == [(0, 1), (1, 2), (1, 3)]
+    def test_hasse_recovers_input(self):
+        p = build_poset(4, covers=[(1, 3), (0, 1), (1, 2)])
+        assert p.hasse == ((0, 1), (1, 2), (1, 3))
+        assert p.elements == (0, 1, 2, 3) and (p.bottom, p.top) == (0, None)
 
-    def test_covers_of_long_chain(self):
+    def test_hasse_long_chain(self):
         # 256 elements lie strictly between the ends: a path count kept in
         # uint8 wraps to 0 there and would report the ends as a cover.
-        assert covers_of(chain(258)) == tuple((i, i + 1) for i in range(257))
+        assert chain(258).hasse == tuple((i, i + 1) for i in range(257))
 
 
 class TestMonotone:
@@ -371,5 +371,6 @@ class TestAsFinitePoset:
         fp = as_finite_poset(cp)
         assert fp.n == 5
         assert np.array_equal(np.asarray(fp.leq), np.asarray(cp.leq))
-        assert fp.names is not None and len(fp.names) == 5
-        assert any("-e1" in name for name in fp.names)
+        assert fp.hasse == cp.hasse and (fp.top, fp.bottom) == (cp.top, cp.bottom)
+        assert all(isinstance(name, str) for name in fp.elements)
+        assert any("-e1" in name for name in fp.elements)

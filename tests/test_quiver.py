@@ -139,7 +139,7 @@ class TestRecord:
 
     def test_fields_are_frozen(self, a2):
         table = cluster_table(a2)
-        for obj, field in [(a2, "n"), (table, "compat"), (chain(2), "names"),
+        for obj, field in [(a2, "n"), (table, "compat"), (chain(2), "elements"),
                            (SchurCheck(True, "exact", "root-table"), "seed")]:
             with pytest.raises(AttributeError):
                 setattr(obj, field, None)
@@ -154,10 +154,10 @@ class TestRecord:
         assert check == SchurCheck(True, "exact", "root-table")
         assert check.seed is None and check.rep is None
         leq = np.eye(2, dtype=bool)
-        assert FinitePoset(2, leq).names is None
-        named = FinitePoset(n=2, leq=leq, names=("a", "b"))
-        assert named.names == ("a", "b") and named.n == 2 and named.leq is leq
-        assert build_poset(1, covers=[]).names is None
+        named = FinitePoset(("a", "b"), leq, hasse=(), top=None, bottom=None)
+        assert named.complete is True and named.height_bound is None
+        assert named.elements == ("a", "b") and named.n == 2 and named.leq is leq
+        assert build_poset(1, covers=[]).elements == (0,)
 
     @pytest.mark.parametrize(
         "args, kwargs",
