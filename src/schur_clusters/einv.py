@@ -23,9 +23,10 @@ so one strided view of Z holds each anti-diagonal as a box and S(w) is
 the sub-box a <= w masked by it (w itself is kept: e(w, 0) = 0).  Then
 the left one-sided form gives row w at once: Z[w, b] = (min over x' in
 S(w) of <x', b>) >= 0, one product of S(w) with the sub-box b <= top - w,
-the only columns a later read needs.  Each S(w) is kept per quiver, so a
-later box only recomputes its Z rows.  Boxes of more than ``BOX_LIMIT``
-cells are refused before anything is allocated.
+the only columns a later read needs.  Each S(w) is stored once per
+quiver, as int64 rows in C order, so a later box only recomputes its Z
+rows; ``generic_summands`` sorts a set when it is called.  Boxes of more
+than ``BOX_LIMIT`` cells are refused before anything is allocated.
 
 The fill uses only the left one-sided form.  ``e_invariant`` still takes
 the two-sided maximum over S(x) x S(y), the definition itself, and
@@ -37,7 +38,7 @@ set would most likely show as a disagreement rather than pass unseen.
 row x of the box against every y at once, from the sets stacked once.
 ``e_invariant`` and ``e_invariant_alt`` stay the per-pair reference.
 Top-level pairs are memoized per quiver.  Every product is exact under
-one proven magnitude bound (``_check_exact``).
+one proven magnitude bound (``_check_exact``), checked once per fill.
 
 On a Dynkin quiver the algebra is representation-directed: for
 indecomposables X, Y at most one of Hom(X, Y) and Ext^1(X, Y) is nonzero.
@@ -79,28 +80,17 @@ SWEEP_CELL_LIMIT = 2**20
 _EXACT_LIMIT = 2**53
 
 
-class _Summands(Record):
-    """Generic subvectors of one queried vector.
-
-    ``vecs`` are the x' with e(x', x - x') = 0, in (height, lex) order;
-    ``arr`` holds them as int64 rows and ``earr`` the rows x' . euler_matrix.
-    """
-
-    vecs: tuple[DimVec, ...]
-    arr: np.ndarray
-    earr: np.ndarray
-
-
 class _Memo:
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
         self.emat = np.array(quiver.euler_matrix, dtype=np.int64)
         self.emax = int(np.abs(self.emat).max())
         self.pairs: dict[tuple[DimVec, DimVec], int] = {}
-        # S(w) for every w some fill has covered, as int64 rows in C order.
+        # S(w) for every w some fill has covered, as int64 rows in C order:
+        # the only copy of each set.
         self.sets: dict[DimVec, np.ndarray] = {}
-        # Records of the vectors callers asked for.
-        self.records: dict[DimVec, _Summands] = {}
+        # S(x) . E for the vectors callers asked for.
+        self.products: dict[DimVec, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
@@ -145,25 +135,30 @@ def clear_caches() -> None:
     reps.hom_basis.cache_clear()
 
 
-def _check_exact(memo: _Memo, h1: int, h2: int) -> None:
-    """Refuse a product whose entries might not be exact.
+def _check_exact(memo: _Memo, h: int) -> None:
+    """Refuse a fill whose products might not be exact.
 
     Every product in this module is a sum  sum_ij a_i E_ij b_j  with E the
-    Euler matrix and a, b nonnegative integer vectors of heights (entry
-    sums) at most h1 and h2; b may be a difference y - y' with y' <= y.
-    Every partial sum is then an integer of absolute value at most
-    emax * h1 * h2, where emax = max |E_ij| <= max(1, number of arrows).
-    Below 2^53 that is exact both in int64 and in float64 (the fill's
-    product), whatever the summation order.  A vector inside a box of at
-    most BOX_LIMIT cells has height at most BOX_LIMIT - 1, because
-    prod(x_i + 1) >= 1 + sum(x_i); so the bound holds for every quiver
-    with fewer than 2^53 / 8191^2, about 1.3e8, arrows, and failing it is
-    an internal error, never a silent rounding or wrap.
+    Euler matrix and a, b nonnegative integer vectors (b may be a difference
+    y - y' with y' <= y).  Its partial sums are integers of absolute value
+    at most emax * h(a) * h(b), h being the height (entry sum) and emax =
+    max |E_ij| <= max(1, number of arrows).  Below 2^53 that is exact both
+    in int64 and in float64, whatever the summation order.
+
+    ``_fill`` makes the only call, with h the height of its top T, and that
+    covers every later product too.  Each vector a product reads is stored
+    in ``memo.sets``, so it lies under some filled top T, has height at most
+    h(T), and that fill passed emax * h(T)^2 < 2^53.  So for any two stored
+    vectors x and y, emax * h(x) * h(y) <= emax * max(h(x), h(y))^2 < 2^53.
+
+    A vector inside a box of at most BOX_LIMIT cells has height at most
+    BOX_LIMIT - 1, because prod(x_i + 1) >= 1 + sum(x_i); so the bound holds
+    for every quiver with fewer than 2^53 / 8191^2, about 1.3e8, arrows,
+    and failing it is an internal error, never a silent rounding or wrap.
     """
-    if memo.emax * h1 * h2 >= _EXACT_LIMIT:
+    if memo.emax * h * h >= _EXACT_LIMIT:
         raise RuntimeError(
-            "internal error: exact-product bound failed "
-            f"({memo.emax} * {h1} * {h2} >= 2^53)"
+            f"internal error: exact-product bound failed ({memo.emax} * {h}^2 >= 2^53)"
         )
 
 
@@ -179,7 +174,7 @@ def _fill(memo: _Memo, top: DimVec) -> None:
             cells=cells,
             limit=BOX_LIMIT,
         )
-    _check_exact(memo, sum(top), sum(top))
+    _check_exact(memo, sum(top))
     grid = np.indices(shape, dtype=np.int64)
     box = np.moveaxis(grid, 0, -1)
     ebt = np.tensordot(memo.emat.astype(np.float64), grid, 1)
@@ -204,22 +199,24 @@ def _fill(memo: _Memo, top: DimVec) -> None:
         rows[(w_idx,) + rest] = low.reshape(cols.shape[1:]) >= 0
 
 
-def _summands(memo: _Memo, x: DimVec) -> _Summands:
-    rec = memo.records.get(x)
-    if rec is not None:
-        return rec
+def _summands(memo: _Memo, x: DimVec) -> np.ndarray:
+    """S(x) . E, after storing S(x) and checking it once.
+
+    C order lists the sub-box below x from 0 to x, so S(x) must start with
+    the zero row and end with x itself.
+    """
+    se = memo.products.get(x)
+    if se is not None:
+        return se
     if x not in memo.sets:
         _fill(memo, x)
-    arr = memo.sets[x]
-    vecs = sorted((tuple(v) for v in arr.tolist()), key=root_key)
-    zero = (0,) * len(x)
-    if not vecs or vecs[0] != zero or vecs[-1] != x:
+    s = memo.sets[x]
+    if not len(s) or s[0].any() or s[-1].tolist() != list(x):
         raise RuntimeError(
             f"internal error: generic summand set of {x} lost a trivial splitting"
         )
-    arr = np.array(vecs, dtype=np.int64).reshape(len(vecs), len(x))
-    rec = memo.records[x] = _Summands(tuple(vecs), arr, arr @ memo.emat)
-    return rec
+    se = memo.products[x] = s @ memo.emat
+    return se
 
 
 def _e(memo: _Memo, x: DimVec, y: DimVec) -> int:
@@ -231,11 +228,10 @@ def _e(memo: _Memo, x: DimVec, y: DimVec) -> int:
         memo.hits += 1
         return cached
     memo.misses += 1
-    ax = _summands(memo, x)
-    ay = _summands(memo, y)
-    _check_exact(memo, sum(x), sum(y))
-    diff = np.array(y, dtype=np.int64) - ay.arr
-    val = -int((ax.earr @ diff.T).min())
+    xe = _summands(memo, x)
+    _summands(memo, y)  # stores and checks S(y)
+    diff = np.array(y, dtype=np.int64) - memo.sets[y]
+    val = -int((xe @ diff.T).min())
     if val < 0:
         raise RuntimeError(
             "internal error: extension invariant came out negative "
@@ -274,7 +270,6 @@ def box_rows(q: Quiver, box: int):
     top = (box,) * q.n
     if top not in memo.sets:
         _fill(memo, top)
-    _check_exact(memo, sum(top), sum(top))
     grid = np.indices((box + 1,) * q.n).reshape(q.n, -1)
     vecs = [tuple(w) for w in grid.T.tolist()]
     sets = [memo.sets[w] for w in vecs]
@@ -349,7 +344,9 @@ def generic_summands(q: Quiver, x) -> tuple[DimVec, ...]:
     (Schofield 1992).  They always include 0 and x itself.
     """
     x = q.check_dimvec(x)
-    return _summands(_memo_for(q), x).vecs
+    memo = _memo_for(q)
+    _summands(memo, x)
+    return tuple(sorted(map(tuple, memo.sets[x].tolist()), key=root_key))
 
 
 def e_invariant(q: Quiver, x, y) -> int:
@@ -369,15 +366,15 @@ def e_invariant_alt(q: Quiver, x, y) -> tuple[int, int]:
     x = q.check_dimvec(x)
     y = q.check_dimvec(y)
     memo = _memo_for(q)
-    ax = _summands(memo, x)
-    ay = _summands(memo, y)
-    _check_exact(memo, sum(x), sum(y))
+    # Store and check S(x) and S(y); both forms read the sets themselves.
+    _summands(memo, x)
+    _summands(memo, y)
     yv = np.array(y, dtype=np.int64)
     xe = np.array(x, dtype=np.int64) @ memo.emat
     ey = memo.emat @ yv
     # <x, y> = x . E . y, read off xe; both vectors are validated above.
-    right = -int(xe @ yv) + int((ay.arr @ xe).max())
-    left = -int((ax.arr @ ey).min())
+    right = -int(xe @ yv) + int((memo.sets[y] @ xe).max())
+    left = -int((memo.sets[x] @ ey).min())
     return (right, left)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from itertools import product
 from operator import attrgetter
 
 from .errors import BadIndex, BoundRequired, CycleDetected, DimensionMismatch, NegativeEntry
@@ -68,13 +67,6 @@ def support(x: DimVec) -> frozenset[int]:
 def root_key(x: DimVec) -> tuple:
     """Canonical sort key for roots: by height, then lexicographic."""
     return (sum(x), x)
-
-
-def subvectors(x: DimVec):
-    """All integer vectors 0 <= v <= x, in canonical (height, lex) order."""
-    vecs = list(product(*(range(a + 1) for a in x)))
-    vecs.sort(key=root_key)
-    return vecs
 
 
 class Record:

@@ -130,7 +130,9 @@ def _hom_equations(q: Quiver, m: Representation, n: Representation):
     return rows, total, off
 
 
-@lru_cache(maxsize=None)
+# Bounded so a long process cannot grow it without end; 4096 holds every
+# pair one call needs today (63^2 = 3969 for E7 ``stilt``).
+@lru_cache(maxsize=4096)
 def hom_basis(q: Quiver, m: Representation, n: Representation):
     """Basis of Hom(m, n): tuples of per-vertex matrices phi_i with
     phi_target . m_a = n_a . phi_source for every arrow a."""

@@ -26,6 +26,7 @@ from schur_clusters import (
     sample_exceptional,
 )
 from schur_clusters import einv
+from schur_clusters.cli import main
 from schur_clusters.einv import (
     _MEMOS,
     BOX_LIMIT,
@@ -33,6 +34,7 @@ from schur_clusters.einv import (
     derived_seed,
     e_nonzero,
 )
+from schur_clusters.fileio import emit_quiver_text
 
 from oracles import PairRecursionOracle, e_sweep_oracle
 
@@ -348,17 +350,49 @@ class TestLimits:
             generic_summands(kronecker, (2, 2))  # 3 x 3 cells
         _MEMOS.pop(kronecker, None)
 
-    def test_failed_exactness_bound_is_internal(self, kronecker):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda q: e_invariant(q, (1, 2), (2, 1)),
+            lambda q: e_invariant_alt(q, (1, 2), (2, 1)),
+            lambda q: generic_summands(q, (1, 2)),
+            lambda q: einv.box_sweep(q, 1),
+        ],
+        ids=["e_invariant", "e_invariant_alt", "generic_summands", "box_sweep"],
+    )
+    def test_failed_exactness_bound_is_internal(self, monkeypatch, kronecker, call):
         # No quiver small enough to build can fail the bound, so fake a
-        # huge Euler matrix entry on a cold memo.
-        _MEMOS.pop(kronecker, None)
+        # huge Euler matrix entry on a cold memo.  The fill is the one
+        # place the bound is checked, and every entry point fills first.
+        monkeypatch.setattr(einv, "_MEMOS", {})
         _memo_for(kronecker).emax = 2**53
-        try:
-            for call in (e_invariant, e_invariant_alt):
-                with pytest.raises(RuntimeError, match="internal error"):
-                    call(kronecker, (1, 2), (2, 1))
-        finally:
-            _MEMOS.pop(kronecker, None)
+        with pytest.raises(RuntimeError, match="internal error"):
+            call(kronecker)
+        assert e_cache_stats(kronecker)["summand_sets"] == 0
+
+    @pytest.mark.parametrize("cut", [slice(1, None), slice(None, -1)], ids=["zero", "top"])
+    def test_lost_trivial_splitting_is_internal(
+        self, capsys, monkeypatch, tmp_path, kronecker, cut
+    ):
+        # S(x) always holds 0 and x itself; a set missing either (first or
+        # last row in C order) is refused before any value is read from it.
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        memo = _memo_for(kronecker)
+        einv._fill(memo, (2, 2))
+        x = (1, 2)
+        monkeypatch.setitem(memo.sets, x, memo.sets[x][cut])
+        with pytest.raises(RuntimeError, match="lost a trivial splitting"):
+            e_invariant(kronecker, x, (2, 1))
+        with pytest.raises(RuntimeError, match="lost a trivial splitting"):
+            generic_summands(kronecker, x)
+        path = tmp_path / "kronecker.quiver"
+        path.write_text(emit_quiver_text(kronecker))
+        argv = ["einv", "--quiver", str(path), "--x", "1,2", "--y", "2,1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[internal]: ")
 
 
 class TestMemo:
@@ -397,6 +431,7 @@ class TestMemo:
         hom_basis(kronecker, m, m)
         assert e_cache_stats(kronecker)["hits"] > 0
         assert hom_basis.cache_info().currsize > 0
+        assert hom_basis.cache_info().maxsize == 4096
         clear_caches()
         assert e_cache_stats(kronecker) == {
             "pairs": 0, "summand_sets": 0, "hits": 0, "misses": 0

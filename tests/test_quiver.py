@@ -25,7 +25,7 @@ from schur_clusters import (
     sym_form,
     tits_form,
 )
-from schur_clusters.quiver import subvectors, unit
+from schur_clusters.quiver import unit
 from schur_clusters.reps import make_representation
 
 from oracles import (
@@ -335,9 +335,5 @@ class TestProjectives:
 
 
 class TestHelpers:
-    def test_subvectors_sorted_by_height_then_lex(self):
-        subs = subvectors((1, 1))
-        assert list(subs) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
     def test_unit(self):
         assert unit(3, 2) == (0, 1, 0)
