@@ -12,9 +12,9 @@ internal invariant check fails (one ``error[internal]`` line, no traceback).
 its arguments.  ``main`` first reads a plain argv (a command and its exact
 long flags, each once, with well-formed values) straight from that table,
 so such a call never imports argparse, gettext or locale, whose setup
-would cost a small job more than its work.  Everything else goes to
-argparse, the only source of help, usage and error text: the parser of
-the command given, or of them all without a known command.
+would cost a small job more than its work.  Everything else goes to one
+argparse parser of every command, the only source of help, usage and
+error text.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ from . import clusters as cl
 from . import einv, fileio, output, reps
 from .errors import (
     LimitExceeded,
-    NotAPrecluster,
     NotDynkin,
     ParseError,
-    ProbeExhausted,
     SchurClustersError,
     UnsupportedFormat,
 )
@@ -120,16 +118,8 @@ _LARGE = _arg(
 )
 
 
-def build_parser(command: str | None = None):
-    """The parser for every command in ``_COMMANDS``, or for ``command`` alone.
-
-    A command's usage, help, errors and Namespace come from its own
-    subparser, so both give the same output for it, save the top-level
-    usage line that argparse prints with "unrecognized arguments": the
-    ``metavar`` keeps every command name there.  The full parser keeps the
-    default, under which its own errors (no command, an unknown one) name
-    the ``command`` positional.
-    """
+def build_parser():
+    """The argparse parser for every command in ``_COMMANDS``."""
     import argparse
 
     ap = argparse.ArgumentParser(
@@ -137,10 +127,8 @@ def build_parser(command: str | None = None):
         description="Real Schur roots, clusters and support tilting posets "
         "of acyclic quivers.",
     )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else [command]:
-        _, help_, *specs = _COMMANDS[name]
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, help_, *specs) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for flags, kwargs in specs:
             p.add_argument(*flags, **kwargs)
@@ -290,23 +278,6 @@ def cmd_realize(args):
     if not isinstance(raw, list):
         raise ParseError(0, "--vars must be a JSON list of cluster variables")
     svars = [output.variable_from_json(obj, q.n) for obj in raw]
-    for v in svars:
-        if all(a >= 0 for a in v):
-            check = einv.is_real_schur_root(
-                q, v, mode="auto", seed=args.seed, budget=args.probe_budget
-            )
-            if check.reason == "probe-exhausted":
-                raise ProbeExhausted(
-                    f"probe budget {args.probe_budget} exhausted on {v}; "
-                    "raise the budget",
-                    vectors=[v],
-                    budget=args.probe_budget,
-                )
-            if not check.ok:
-                raise NotAPrecluster(
-                    f"{v} is not a verified real Schur root ({check.reason})",
-                    reason=check.reason,
-                )
     ml = reps.realize_cluster(q, svars, seed=args.seed, budget=args.probe_budget)
     payload = {
         "meta": _meta(args),
@@ -389,11 +360,11 @@ def _verification_checks(q, args):
             if cp.top is None or cp.bottom is None:
                 ok, detail = False, "missing top or bottom"
             else:
-                top_pos = [v for v in cp.elements[cp.top] if any(a > 0 for a in v)]
-                projs = sorted(projective_dimension_vectors(q), key=cl.var_key)
-                if sorted(top_pos, key=cl.var_key) != projs:
+                top_pos = cl.split_variables(cp.elements[cp.top])[0]
+                projs = tuple(sorted(projective_dimension_vectors(q), key=cl.var_key))
+                if top_pos != projs:
                     ok, detail = False, "top cluster is not the projectives"
-                elif any(any(a > 0 for a in v) for v in cp.elements[cp.bottom]):
+                elif cl.split_variables(cp.elements[cp.bottom])[0]:
                     ok, detail = False, "bottom cluster has a positive member"
                 else:
                     detail += "; top = projectives, bottom = negatives"
@@ -565,19 +536,13 @@ def _read_args(argv):
     return SimpleNamespace(**ns) if required <= seen else None
 
 
-def run_command(args) -> tuple[str, int]:
-    return _COMMANDS[args.command][0](args)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_args(argv)
     if args is None:
-        # Build only the named command's parser; anything else gets the full one.
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
-        text, code = run_command(args)
+        text, code = _COMMANDS[args.command][0](args)
     except (ParseError, UnsupportedFormat) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2

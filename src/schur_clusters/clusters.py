@@ -112,6 +112,16 @@ def is_precluster(q: Quiver, s) -> tuple[bool, str | None]:
     return (True, None)
 
 
+def _checked_precluster(q: Quiver, s) -> list[DimVec]:
+    """The distinct members of ``s`` in canonical order; raises NotAPrecluster
+    with the first violation when they are not a precluster."""
+    svars = sorted({q.check_dimvec(v, allow_negative=True) for v in s}, key=var_key)
+    ok, why = is_precluster(q, svars)
+    if not ok:
+        raise NotAPrecluster(f"not a precluster: {why}", reason=why)
+    return svars
+
+
 def is_positive_precluster(q: Quiver, s) -> bool:
     """A precluster with no negative members."""
     if any(any(a < 0 for a in q.check_dimvec(v, allow_negative=True)) for v in s):
@@ -357,10 +367,7 @@ def complete_to_cluster(
     a completion.  With a height bound the search may legitimately fail,
     which raises CompletionNotFound.
     """
-    svars = sorted({q.check_dimvec(v, allow_negative=True) for v in s}, key=var_key)
-    ok, why = is_precluster(q, svars)
-    if not ok:
-        raise NotAPrecluster(f"not a precluster: {why}", reason=why)
+    svars = _checked_precluster(q, s)
     if len(svars) == q.n:
         return tuple(svars)
     table = cluster_table(q, bound, seed, budget)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .errors import BadIndex, BoundRequired, CycleDetected, DimensionMismatch, NegativeEntry
 
@@ -146,10 +146,13 @@ class Quiver(Record):
     arrows: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        # operator.index takes ints and numpy integers and raises TypeError
+        # on anything else, such as a float that int() would truncate.
+        object.__setattr__(self, "n", index(self.n))
         if self.n < 1:
             raise BadIndex(f"vertex count must be >= 1, got {self.n}")
         object.__setattr__(
-            self, "arrows", tuple((int(s), int(t)) for s, t in self.arrows)
+            self, "arrows", tuple((index(s), index(t)) for s, t in self.arrows)
         )
         for s, t in self.arrows:
             if not (1 <= s <= self.n) or not (1 <= t <= self.n):
@@ -213,7 +216,7 @@ class Quiver(Record):
         return True
 
     def check_dimvec(self, x, allow_negative=False) -> DimVec:
-        x = tuple(map(int, x))
+        x = tuple(map(index, x))
         if len(x) != self.n:
             raise DimensionMismatch(
                 f"vector of length {len(x)} against a quiver with {self.n} vertices"
@@ -225,7 +228,7 @@ class Quiver(Record):
 
 def validate_quiver(n: int, arrows) -> Quiver:
     """Build a validated quiver from raw data (1-based vertex indices)."""
-    return Quiver(int(n), tuple((int(s), int(t)) for s, t in arrows))
+    return Quiver(n, tuple(arrows))
 
 
 def euler_form(q: Quiver, x: DimVec, y: DimVec) -> int:

@@ -22,12 +22,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clusters import ClusterTable, is_precluster, var_key
+from .clusters import ClusterTable, _checked_precluster
 from .einv import derived_seed
 from .errors import (
     DimensionMismatch,
     NegativeExt,
-    NotAPrecluster,
     NotDynkin,
     ProbeExhausted,
     SizeMismatch,
@@ -274,16 +273,16 @@ def _realize(q: Quiver, clusters, seed: int, budget: int) -> tuple[ModuleList, .
 def realize_cluster(q: Quiver, s, seed: int = 0, budget: int = 8) -> ModuleList:
     """Attach modules to every variable of a precluster.
 
-    The sample for a positive root depends only on (quiver, root, seed), so
-    shared variables get identical modules across different clusters.  The
-    pairwise Ext vanishing promised by the precluster certificate is
-    verified on the sampled matrices and any failure is raised loudly.
+    The precluster check is the only test of the positive members: unit
+    Tits form and e(a, a) = 0 hold exactly for the real Schur roots, and
+    the sampled exceptional module is each one's certificate, raising
+    ProbeExhausted when the budget runs out.  The sample for a positive
+    root depends only on (quiver, root, seed), so shared variables get
+    identical modules across different clusters.  The pairwise Ext
+    vanishing promised by the precluster is verified on the sampled
+    matrices and any failure is raised loudly.
     """
-    svars = sorted({q.check_dimvec(v, allow_negative=True) for v in s}, key=var_key)
-    ok, why = is_precluster(q, svars)
-    if not ok:
-        raise NotAPrecluster(f"not a precluster: {why}", reason=why)
-    return _realize(q, [tuple(svars)], seed, budget)[0]
+    return _realize(q, [tuple(_checked_precluster(q, s))], seed, budget)[0]
 
 
 def is_support_tilting(q: Quiver, modules: ModuleList) -> bool:

@@ -16,6 +16,7 @@ from schur_clusters import (
     chain,
     cluster_poset,
     cluster_table,
+    e_invariant,
     enumerate_clusters,
     errors,
     euler_form,
@@ -24,6 +25,7 @@ from schur_clusters import (
     reflect,
     sym_form,
     tits_form,
+    validate_quiver,
 )
 from schur_clusters.quiver import unit
 from schur_clusters.reps import make_representation
@@ -40,6 +42,8 @@ class TestConstruction:
     def test_normalizes_arrow_entries(self):
         q = Quiver(2, [[1, 2]])
         assert q.arrows == ((1, 2),)
+        q = Quiver(np.int64(2), [(np.int32(1), np.int64(2))])
+        assert q == Quiver(2, [(1, 2)]) and type(q.n) is int
 
     def test_rejects_vertex_out_of_range(self):
         with pytest.raises(errors.BadIndex):
@@ -86,6 +90,24 @@ class TestConstruction:
         with pytest.raises(errors.NegativeEntry):
             a2.check_dimvec((-1, 0))
         assert a2.check_dimvec((-1, 0), allow_negative=True) == (-1, 0)
+        assert type(a2.check_dimvec(np.array([1, 0]))[0]) is int
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: validate_quiver(2.7, [(1, 2)]),
+            lambda: Quiver(2.5, [(1, 2)]),
+            lambda: Quiver(2, ((1.9, 2),)),
+            lambda: Quiver(2, [(1, 2)]).check_dimvec((1.7, 0)),
+            lambda: e_invariant(Quiver(2, [(1, 2)]), (0.5, 1), (1, 0.9)),
+            lambda: Quiver(2, [("1", 2)]),
+        ],
+        ids=["validate-n", "n", "arrow", "dimvec", "e-invariant", "string"],
+    )
+    def test_integers_only(self, build):
+        # What int() would truncate or parse is refused.
+        with pytest.raises(TypeError):
+            build()
 
 
 def _equal_records(a2):

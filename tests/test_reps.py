@@ -1,6 +1,10 @@
 """Exact rational representation oracle: hom, ext, sampling, gen-order."""
 
+import ast
+import importlib
+import inspect
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -351,3 +355,32 @@ class TestCounterSources:
         assert {"pairs", "hits", "misses", "summand_sets"} <= set(stats)
         info = schur_clusters.hom_basis.cache_info()._asdict()
         assert {"hits", "misses"} <= set(info)
+
+    def test_traced_benchmark_names_resolve(self):
+        # The traced benchmark script is read, not run: every package name
+        # it uses must exist, and assemble_poset must take its four
+        # positional arguments.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "traced_job.py"
+        tree = ast.parse(path.read_text())
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sc"
+        }
+        assert "realize_cluster" in read
+        assert sorted(name for name in read if not hasattr(schur_clusters, name)) == []
+        imports = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module.split(".")[0] == "schur_clusters"
+        ]
+        assert len(imports) == 2
+        for node in imports:
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):  # a submodule not yet imported
+                    importlib.import_module(f"{node.module}.{alias.name}")
+        inspect.signature(schur_clusters.clusters.assemble_poset).bind(1, 2, 3, 4)
