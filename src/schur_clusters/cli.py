@@ -193,29 +193,30 @@ def cmd_einv(args):
     return output.emit_json(payload), 0
 
 
-def _enumeration_payload(args, key, enum):
+def _enumeration_payload(args, key, table, groups):
+    """``groups``: index tuples into the table's variables."""
     if args.format == "tsv":
-        rows = [[cl.format_variable(v) for v in c] for c in enum.items]
-        return output.emit_tsv(rows), 0
+        labels = [cl.format_variable(v) for v in table.variables]
+        return output.emit_tsv([[labels[i] for i in g] for g in groups]), 0
     payload = {
         "meta": _meta(args),
-        "complete": enum.complete,
-        "height_bound": enum.height_bound,
-        "count": len(enum.items),
-        key: output.variables_to_json(enum.items),
+        "complete": table.complete,
+        "height_bound": table.height_bound,
+        "count": len(groups),
+        key: output.variable_groups(table.variables, groups),
     }
     return output.emit_json(payload), 0
 
 
 def cmd_preclusters(args):
     table = _table(args)
-    enum = table.enumeration(table.preclusters(args.positive_only))
-    return _enumeration_payload(args, "preclusters", enum)
+    pcs = table.preclusters(args.positive_only)
+    return _enumeration_payload(args, "preclusters", table, pcs)
 
 
 def cmd_clusters(args):
     table = _table(args)
-    return _enumeration_payload(args, "clusters", table.enumeration(table.clusters))
+    return _enumeration_payload(args, "clusters", table, table.clusters)
 
 
 def _poset_payload(args, cp, elements_json, groups):
@@ -239,8 +240,9 @@ def _poset_payload(args, cp, elements_json, groups):
 
 
 def cmd_poset(args):
-    cp = cl.cluster_poset(_table(args))
-    elements = output.variables_to_json(cp.elements)
+    table = _table(args)
+    cp = cl.cluster_poset(table)
+    elements = output.variable_groups(table.variables, table.clusters)
     return _poset_payload(args, cp, elements, cp.elements)
 
 

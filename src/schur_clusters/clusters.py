@@ -28,7 +28,7 @@ import numpy as np
 
 from .einv import e_invariant, e_nonzero, real_schur_roots
 from .errors import BadIndex, CompletionNotFound, NotAPrecluster, NotDynkin
-from .posets import FinitePoset, assemble_poset, count_monotone_maps
+from .posets import FinitePoset, assemble_poset, bit_rows, count_monotone_maps
 from .quiver import DimVec, Quiver, Record, support, tits_form, unit
 
 
@@ -198,10 +198,7 @@ def _cliques(compat):
     visit cliques in lexicographic order.  A clique is maximal when no
     vertex is adjacent to all of its members.
     """
-    rows = [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in compat
-    ]
+    rows = bit_rows(compat)
 
     def walk(clique, common, ahead):
         # common: variables compatible with every member; ahead: those of
@@ -239,22 +236,37 @@ class ClusterTable(Record, eq=False):
     @cached_property
     def clusters(self) -> tuple[tuple[int, ...], ...]:
         """The maximal cliques of ``compat`` with n members, asserting that
-        no clique is larger and, on a complete set, none maximal smaller."""
+        no clique is larger and, on a complete set, none maximal smaller.
+
+        ``_cliques``' walk, stopped at depth n: an n-clique that some
+        variable extends starts a larger clique.  At depth n, ``ahead`` is
+        part of ``common``, which must be empty, so the walk goes no deeper.
+        """
         n = self.quiver.n
+        rows = bit_rows(self.compat)
         found = []
-        for clique, maximal in _cliques(self.compat):
-            if len(clique) > n:
-                raise RuntimeError(
-                    f"internal error: {len(clique)} pairwise compatible variables "
-                    f"on a quiver with {n} vertices"
-                )
-            if maximal and self.complete and len(clique) != n:
+
+        def walk(clique, common, ahead):
+            if len(clique) == n:
+                if common:
+                    raise RuntimeError(
+                        f"internal error: {n + 1} pairwise compatible variables "
+                        f"on a quiver with {n} vertices"
+                    )
+                found.append(clique)
+            elif not common and self.complete:
                 raise RuntimeError(
                     "internal error: a maximal compatible set of size "
                     f"{len(clique)} != {n} on a Dynkin quiver"
                 )
-            if maximal and len(clique) == n:
-                found.append(clique)
+            while ahead:
+                low = ahead & -ahead
+                ahead ^= low
+                j = low.bit_length() - 1
+                walk(clique + (j,), common & rows[j], ahead & rows[j])
+
+        everyone = (1 << len(rows)) - 1
+        walk((), everyone, everyone)
         return tuple(found)
 
     @cached_property

@@ -12,8 +12,16 @@ reuses the text: the memo key is ``(id(d), depth)``.  The id is safe
 because every dict in the payload is held by the payload for the whole
 call, so no id can be freed and reused while the memo lives.  The depth is
 part of the key because the same dict at another depth is indented
-differently.  ``variables_to_json`` builds cluster lists in which equal
-variables share one record, so that memo hits.
+differently.  ``variables_to_json`` builds lists in which equal variables
+share one record, so that memo hits (the ``stilt`` labels).
+
+The ``clusters``, ``preclusters`` and ``poset`` payloads hold their
+cluster lists as index tuples into the table's variables, wrapped by
+``variable_groups``.  ``emit_json`` renders each variable's record once
+and each cluster as the join of those texts over its indices: the bytes
+of the list of records, without building the variable tuples or their
+record lists.  The records belong to the ``IndexedGroups`` in the
+payload, so the memo's ids stay safe.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 
 from .clusters import format_variable, neg_vertex
 from .errors import ParseError
-from .quiver import DimVec
+from .quiver import DimVec, Record
 
 
 def variable_to_json(v: DimVec) -> dict:
@@ -38,6 +46,20 @@ def variables_to_json(groups) -> list[list[dict]]:
     sequences), with one shared record per distinct variable."""
     records = {v: variable_to_json(v) for v in {v for g in groups for v in g}}
     return [[records[v] for v in g] for g in groups]
+
+
+class IndexedGroups(Record, eq=False):
+    """A JSON list whose g-th item is ``[records[i] for i in groups[g]]``,
+    rendered by ``emit_json`` with each record's text made once."""
+
+    records: list
+    groups: tuple
+
+
+def variable_groups(variables, groups) -> IndexedGroups:
+    """Index tuples into ``variables`` as the JSON lists of their
+    ``variable_to_json`` records."""
+    return IndexedGroups([variable_to_json(v) for v in variables], groups)
 
 
 def _is_int(x) -> bool:
@@ -87,7 +109,8 @@ def cluster_label(c) -> str:
 
 def emit_json(payload) -> str:
     """Canonical JSON: 2-space indent, sorted keys, ASCII only, trailing
-    newline.  Dict keys must be ``str`` (``TypeError`` otherwise)."""
+    newline.  Dict keys must be ``str`` (``TypeError`` otherwise).  An
+    ``IndexedGroups`` renders as its list of lists would."""
     memo: dict[tuple[int, int], str] = {}
 
     def render(obj, depth: int) -> str:
@@ -110,6 +133,13 @@ def emit_json(payload) -> str:
                 d = depth + 1
                 items = [memo.get((id(v), d)) or render(v, d) for v in obj]
             return _wrap("[", items, "]", depth)
+        if isinstance(obj, IndexedGroups):
+            texts = [render(r, depth + 2) for r in obj.records]
+            lists = [
+                _wrap("[", map(texts.__getitem__, g), "]", depth + 1) if g else "[]"
+                for g in obj.groups
+            ]
+            return _wrap("[", lists, "]", depth) if lists else "[]"
         return json.dumps(obj)
 
     def render_dict(d: dict, depth: int) -> str:

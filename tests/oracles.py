@@ -201,6 +201,14 @@ def random_poset_matrix(rng, n: int) -> list[list[bool]]:
     return leq
 
 
+def cover_pairs(leq) -> tuple[tuple[int, int], ...]:
+    """Cover pairs (i, j), i covered by j, of an order matrix, in row-major
+    order: i < j with nothing strictly between, from numpy's dense bool
+    product.  The reference for ``assemble_poset``'s bitset square."""
+    lt = np.asarray(leq, dtype=bool) & ~np.eye(len(leq), dtype=bool)
+    return tuple(map(tuple, np.argwhere(lt & ~(lt @ lt)).tolist()))
+
+
 def rref_oracle(rows, ncols):
     """Reduced row echelon form by textbook Gauss–Jordan over ``Fraction``.
 

@@ -30,10 +30,18 @@ from schur_clusters import (
     positive_real_roots,
     projective_dimension_vectors,
 )
-from schur_clusters.clusters import _compat_matrix, assemble_poset, var_key
-from schur_clusters.posets import cover_pairs
+from schur_clusters.cli import main
+from schur_clusters.clusters import (
+    ClusterTable,
+    _cliques,
+    _compat_matrix,
+    assemble_poset,
+    var_key,
+)
+from schur_clusters.fileio import emit_quiver_text
+from schur_clusters.posets import bool_square
 
-from oracles import random_poset_matrix
+from oracles import cover_pairs, random_poset_matrix
 
 E7 = Quiver(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)])
 E8 = Quiver(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)])
@@ -192,6 +200,79 @@ class TestEnumeration:
             assert any(set(pc) <= c for c in clusters)
 
 
+def _graph_table(n: int, compat, complete: bool) -> ClusterTable:
+    """A cluster table on a quiver with n vertices and no arrows whose
+    compatibility graph is ``compat``; only ``clusters`` reads it."""
+    m = len(compat)
+    compat = np.array(compat, dtype=bool).reshape(m, m)
+    nz, negative = np.zeros((m, m), dtype=bool), np.zeros(m, dtype=bool)
+    return ClusterTable(
+        Quiver(n, []), tuple(range(m)), complete, None, compat, nz, negative
+    )
+
+
+def _clique_graph(m: int) -> list[list[bool]]:
+    return [[i != j for j in range(m)] for i in range(m)]
+
+
+class TestCliqueWalk:
+    """``ClusterTable.clusters`` walks to depth n and asserts both bounds."""
+
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_n_plus_one_compatible_variables_are_internal(self, complete):
+        table = _graph_table(2, _clique_graph(3), complete)
+        with pytest.raises(RuntimeError, match="internal error: 3 pairwise"):
+            table.clusters
+
+    def test_short_maximal_clique_on_a_complete_table_is_internal(self):
+        # Vertices 0-1 and 2 alone: {2} is maximal with 1 < 2 members.
+        compat = _clique_graph(2)
+        compat = [row + [False] for row in compat] + [[False] * 3]
+        with pytest.raises(RuntimeError, match="maximal compatible set of size 1"):
+            _graph_table(2, compat, True).clusters
+        assert _graph_table(2, compat, False).clusters == ((0, 1),)
+
+    def test_cli_reports_an_internal_error(self, capsys, monkeypatch, tmp_path, a2):
+        bad = _graph_table(2, _clique_graph(3), True)
+        monkeypatch.setattr(
+            "schur_clusters.clusters.cluster_table", lambda *args: bad
+        )
+        path = tmp_path / "a2.quiver"
+        path.write_text(emit_quiver_text(a2))
+        assert main(["clusters", "--quiver", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[internal]: ")
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=11).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(
+                st.booleans(), min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2
+            ),
+        )
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_depth_n_walk_keeps_the_maximal_n_cliques(n, graph):
+    m, edges = graph
+    compat = np.zeros((m, m), dtype=bool)
+    compat[np.triu_indices(m, 1)] = edges
+    compat |= compat.T
+    cliques = list(_cliques(compat))
+    table = _graph_table(n, compat, False)
+    if any(len(c) > n for c, _ in cliques):
+        with pytest.raises(RuntimeError, match="internal error"):
+            table.clusters
+    else:
+        expected = tuple(c for c, maximal in cliques if maximal and len(c) == n)
+        assert table.clusters == expected
+
+
 class TestCompletion:
     def test_extends_and_keeps_given(self, a2):
         c = complete_to_cluster(a2, [(1, 1)])
@@ -309,6 +390,23 @@ class TestClusterPoset:
         assert int(cp.leq.sum()) == 39
         assert len(cp.hasse) == 9
 
+    def test_e6_hasse_matches_the_dense_square(self, e6):
+        cp = cluster_poset(cluster_table(e6))
+        assert len(cp.hasse) == 833 * 6 // 2
+        assert cp.hasse == cover_pairs(cp.leq)
+
+    @pytest.mark.skipif(
+        not os.environ.get("SCHUR_CLUSTERS_LARGE"),
+        reason="stretch target; set SCHUR_CLUSTERS_LARGE=1 to run",
+    )
+    def test_e7_poset(self):
+        cp = cluster_poset(cluster_table(E7))
+        assert len(cp.elements) == 4160
+        # The Hasse diagram is the exchange graph: 7 neighbours per cluster.
+        assert len(cp.hasse) == 4160 * 7 // 2
+        assert set(cp.elements[cp.top]) == set(projective_dimension_vectors(E7))
+        assert all(any(a < 0 for a in v) for v in cp.elements[cp.bottom])
+
 
 def _first_failure(leq):
     """The first order-axiom failure of a square bool list matrix, scanning
@@ -329,6 +427,16 @@ def _first_failure(leq):
 
 
 class TestAssembleGuards:
+    def test_bitset_square_equals_the_dense_product(self):
+        rng = np.random.default_rng(2024)
+        # 7..9 and 63..65 rows put the packed rows on both sides of a byte.
+        for m in (0, 1, 7, 8, 9, 63, 64, 65):
+            for density in (0.05, 0.3, 0.9):
+                mat = rng.random((m, m)) < density
+                square = bool_square(mat)
+                assert square.dtype == bool
+                assert np.array_equal(square, mat @ mat)
+
     def test_bad_relation_rejected(self, a2):
         leq = np.zeros((2, 2), dtype=bool)  # not reflexive
         with pytest.raises(errors.NotAPartialOrder):
@@ -353,8 +461,8 @@ class TestAssembleGuards:
 
     def test_hasse_equals_cover_pairs_on_random_posets(self):
         rng = random.Random(2014)
-        for _ in range(200):
-            n = rng.randint(0, 12)
+        # 7..9 and 63..65 elements put the rows on both sides of a byte.
+        for n in [rng.randint(0, 12) for _ in range(200)] + [7, 8, 9, 63, 64, 65]:
             perm = np.array(rng.sample(range(n), n), dtype=np.intp)
             leq = np.array(random_poset_matrix(rng, n), dtype=bool).reshape(n, n)
             leq = leq[np.ix_(perm, perm)]

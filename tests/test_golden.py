@@ -5,7 +5,7 @@ below: criterion 8's determinism set plus the all-preclusters path on D4
 and the incomplete (height-bounded) poset on the Kronecker quiver.
 Outputs too large to keep as files (E6, E8, A5 DOT, D4 and E6 ``stilt``,
 E6 ``verify``) are pinned by the sha256 of their stdout in
-``digests.json``; E8, E6 ``stilt`` and E6 ``verify`` run only under
+``digests.json``; E6 ``stilt`` and E6 ``verify`` run only under
 ``SCHUR_CLUSTERS_LARGE=1``.  ``REFUSALS`` pins the one stderr line and the
 exit status of refused calls.  After an intended output change,
 regenerate the files and digests with
@@ -84,7 +84,7 @@ REFUSALS = {
         1,
     ),
 }
-LARGE_DIGESTS = {"clusters-e8.json", "stilt-e6-s5.json", "verify-e6.txt"}
+LARGE_DIGESTS = {"stilt-e6-s5.json", "verify-e6.txt"}
 DIGESTS = GOLDEN / "digests.json"
 
 

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schur_clusters.output import emit_json, variable_to_json, variables_to_json
+from schur_clusters.output import (
+    emit_json,
+    variable_groups,
+    variable_to_json,
+    variables_to_json,
+)
 
 
 def oracle(payload) -> str:
@@ -101,3 +106,39 @@ class TestVariablesToJson:
     def test_empty(self):
         assert variables_to_json([]) == []
         assert variables_to_json([()]) == [[]]
+
+
+variable_lists = st.lists(
+    st.one_of(
+        st.lists(st.integers(0, 3), min_size=3, max_size=3)
+        .filter(any)
+        .map(tuple),
+        st.sampled_from([(-1, 0, 0), (0, -1, 0), (0, 0, -1)]),
+    ),
+    max_size=6,
+)
+
+
+class TestVariableGroups:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        variable_lists.flatmap(
+            lambda vs: st.tuples(
+                st.just(vs),
+                st.lists(
+                    st.lists(st.integers(0, len(vs) - 1), max_size=4).map(tuple)
+                    if vs
+                    else st.just(()),
+                    max_size=5,
+                ),
+            )
+        )
+    )
+    def test_renders_as_the_record_lists(self, case):
+        variables, groups = case
+        lists = [[variable_to_json(variables[i]) for i in g] for g in groups]
+        indexed = variable_groups(variables, tuple(groups))
+        # At depth 0 and nested, as the cluster and poset payloads hold it.
+        assert emit_json(indexed) == oracle(lists)
+        payload = {"meta": {"count": len(groups)}, "clusters": indexed}
+        assert emit_json(payload) == oracle({**payload, "clusters": lists})
