@@ -341,11 +341,11 @@ def _verification_checks(q, args):
         checks.append(("e-closed-form", bad is None, detail))
 
     table = cl.cluster_table(q, args.bound, args.seed, args.probe_budget)
-    clusters = table.enumeration(table.clusters).items
-    size = len(table.variables)
+    clusters, v = table.clusters, table.variables
+    size = len(v)
     if size <= 22:
-        naive = cl.subset_scan(q, table.variables)
-        ok = clusters == naive
+        naive = cl.subset_scan(q, v)
+        ok = tuple(tuple(v[i] for i in c) for c in clusters) == naive
         detail = f"clique search and subset scan both give {len(naive)}"
     else:
         ok = None
@@ -384,18 +384,23 @@ def _verification_checks(q, args):
         if not same:
             detail = f"mismatch at {witness}"
         checks.append(("stilt-match", same, detail))
-        # A bounded precluster may need a taller partner, so extension is
-        # judged against every cluster.
+        # Every precluster extends to a cluster exactly when no maximal clique
+        # of the full graph is short; a bounded precluster may need a taller
+        # partner.  The count is the table's cliques, the empty one included.
         full = table
         if not table.complete:
             full = cl.cluster_table(q, None, args.seed, args.probe_budget)
-        pcs = table.enumeration(table.preclusters()).items
-        extends = full.containing(pcs).any(axis=1)
-        failed = next((pc for pc, ok in zip(pcs, extends) if not ok), None)
-        detail = f"all {len(pcs)} preclusters extend to clusters"
-        if failed is not None:
-            detail = f"no completion for {failed}"
-        checks.append(("precluster-extension", failed is None, detail))
+        count, short = 0, None
+        for c, maximal in cl._cliques(full.compat):
+            count += 1
+            if short is None and maximal and len(c) < q.n:
+                short = c
+        if full is not table:
+            count = sum(1 for _ in cl._cliques(table.compat))
+        detail = f"all {count} preclusters extend to clusters"
+        if short is not None:
+            detail = f"no completion for {tuple(full.variables[i] for i in short)}"
+        checks.append(("precluster-extension", short is None, detail))
     return checks
 
 

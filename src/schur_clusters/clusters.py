@@ -293,15 +293,6 @@ class ClusterTable(Record, eq=False):
         items = tuple(tuple(v[i] for i in c) for c in cliques)
         return Enumeration(items, self.complete, self.height_bound)
 
-    def containing(self, groups) -> np.ndarray:
-        """contains[g, c]: cluster c holds every variable of group g, a
-        collection of this table's variables; g has no member outside c."""
-        index = {v: i for i, v in enumerate(self.variables)}
-        rows = np.zeros((len(groups), len(self.variables)), dtype=bool)
-        for row, g in zip(rows, groups):
-            row[[index[v] for v in g]] = True
-        return ~(rows @ ~self.members.T)
-
 
 def cluster_table(
     q: Quiver, bound: int | None = None, seed: int = 0, budget: int = 8
@@ -374,10 +365,9 @@ def complete_to_cluster(
     """Extend a precluster to a cluster, returning the lexicographically least
     extension in canonical variable order (negative simples first).
 
-    Candidates pass ``compatible`` with every member; this search is the
-    reference for ``ClusterTable.containing``.  Dynkin quivers always admit
-    a completion.  With a height bound the search may legitimately fail,
-    which raises CompletionNotFound.
+    Candidates pass ``compatible`` with every member.  Dynkin quivers always
+    admit a completion.  With a height bound the search may legitimately
+    fail, which raises CompletionNotFound.
     """
     svars = _checked_precluster(q, s)
     if len(svars) == q.n:

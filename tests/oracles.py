@@ -209,6 +209,19 @@ def cover_pairs(leq) -> tuple[tuple[int, int], ...]:
     return tuple(map(tuple, np.argwhere(lt & ~(lt @ lt)).tolist()))
 
 
+def containing(table, groups) -> np.ndarray:
+    """contains[g, c]: cluster c of ``table`` holds every variable of group
+    g, a collection of the table's variables, so g has no member outside c.
+    One dense bool product with the membership matrix: the reference for
+    ``verify``'s precluster-extension walk, with ``complete_to_cluster``'s
+    own search as its reference in turn."""
+    index = {v: i for i, v in enumerate(table.variables)}
+    rows = np.zeros((len(groups), len(table.variables)), dtype=bool)
+    for row, g in zip(rows, groups):
+        row[[index[v] for v in g]] = True
+    return ~(rows @ ~table.members.T)
+
+
 def rref_oracle(rows, ncols):
     """Reduced row echelon form by textbook Gauss–Jordan over ``Fraction``.
 

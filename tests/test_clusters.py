@@ -41,7 +41,7 @@ from schur_clusters.clusters import (
 from schur_clusters.fileio import emit_quiver_text
 from schur_clusters.posets import bool_square
 
-from oracles import cover_pairs, random_poset_matrix
+from oracles import containing, cover_pairs, random_poset_matrix
 
 E7 = Quiver(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)])
 E8 = Quiver(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)])
@@ -246,23 +246,26 @@ class TestCliqueWalk:
         assert len(lines) == 1 and lines[0].startswith("error[internal]: ")
 
 
-@given(
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=0, max_value=11).flatmap(
-        lambda m: st.tuples(
-            st.just(m),
-            st.lists(
-                st.booleans(), min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2
-            ),
-        )
-    ),
+_graphs = st.integers(min_value=0, max_value=11).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.booleans(), min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2),
+    )
 )
-@settings(max_examples=200, deadline=None)
-def test_depth_n_walk_keeps_the_maximal_n_cliques(n, graph):
+
+
+def _adjacency(graph) -> np.ndarray:
+    """The symmetric bool matrix of ``(m, upper-triangle edge flags)``."""
     m, edges = graph
     compat = np.zeros((m, m), dtype=bool)
     compat[np.triu_indices(m, 1)] = edges
-    compat |= compat.T
+    return compat | compat.T
+
+
+@given(st.integers(min_value=1, max_value=5), _graphs)
+@settings(max_examples=200, deadline=None)
+def test_depth_n_walk_keeps_the_maximal_n_cliques(n, graph):
+    compat = _adjacency(graph)
     cliques = list(_cliques(compat))
     table = _graph_table(n, compat, False)
     if any(len(c) > n for c, _ in cliques):
@@ -271,6 +274,19 @@ def test_depth_n_walk_keeps_the_maximal_n_cliques(n, graph):
     else:
         expected = tuple(c for c, maximal in cliques if maximal and len(c) == n)
         assert table.clusters == expected
+
+
+@given(_graphs, st.integers(min_value=0, max_value=1))
+@settings(max_examples=200, deadline=None)
+def test_no_short_maximal_clique_is_every_clique_in_a_cluster(graph, extra):
+    # verify's precluster-extension walk against the membership product,
+    # with n at or above the largest clique so that ``clusters`` is defined.
+    compat = _adjacency(graph)
+    cliques = list(_cliques(compat))
+    n = max(1, *(len(c) for c, _ in cliques)) + extra
+    table = _graph_table(n, compat, False)
+    pure = not any(maximal and len(c) < n for c, maximal in cliques)
+    assert pure == containing(table, [c for c, _ in cliques]).any(axis=1).all()
 
 
 class TestCompletion:
@@ -550,14 +566,14 @@ class TestClusterTable:
         for q in (a3, d4, A5_ZIGZAG):
             table = cluster_table(q)
             pcs = table.enumeration(table.preclusters()).items
-            first = table.containing(pcs).argmax(axis=1)
+            first = containing(table, pcs).argmax(axis=1)
             clusters = table.enumeration(table.clusters).items
             for pc, c in zip(pcs, first):
                 assert complete_to_cluster(q, pc) == clusters[c], pc
 
     def test_containing_finds_no_cluster_for_a_non_precluster(self, a2):
         table = cluster_table(a2)
-        hits = table.containing([((1, 0), (0, 1)), ((1, 0),)])
+        hits = containing(table, [((1, 0), (0, 1)), ((1, 0),)])
         assert hits.any(axis=1).tolist() == [False, True]
 
 

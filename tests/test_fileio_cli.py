@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schur_clusters import Quiver, build_poset, cli, einv, errors
+from schur_clusters import Quiver, build_poset, cli, einv, errors, negative_simple
+from schur_clusters import clusters as cl
 from schur_clusters.cli import main
 from schur_clusters.fileio import (
     emit_poset_text,
@@ -246,6 +247,32 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"FAIL e-invariant-formulas: mismatch at {bad}"
         assert lines[-1] == "FAILED"
+
+    @pytest.mark.parametrize(
+        "name, extra", [("a3", []), ("d4", ["--bound", "3", "--box", "0"])]
+    )
+    def test_verify_names_a_short_maximal_clique(
+        self, capsys, monkeypatch, quiver_file, request, name, extra
+    ):
+        # A real clique, {-e1, -e2}, marked maximal: precluster-extension
+        # fails and names it, while the clusters (their own walk) stay.
+        cliques = cl._cliques
+
+        def one_short(compat):
+            for c, maximal in cliques(compat):
+                yield c, maximal or c == (0, 1)
+
+        monkeypatch.setattr(cl, "_cliques", one_short)
+        q = request.getfixturevalue(name)
+        path = quiver_file(f"{name}.quiver", q)
+        assert main(["verify", "--quiver", path] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        short = (negative_simple(q, 1), negative_simple(q, 2))
+        assert lines[-2] == f"FAIL precluster-extension: no completion for {short}"
+        assert lines[-1] == "FAILED"
+        assert all(line.startswith(("PASS ", "SKIP ")) for line in lines[:-2])
 
     def test_verify_calls_e_invariant_only_on_root_pairs(
         self, capsys, monkeypatch, quiver_file, a3
