@@ -443,19 +443,25 @@ def real_schur_roots(
 
     In probe mode any vector whose probe budget runs out is reported by
     raising ProbeExhausted rather than being dropped silently.
+
+    Candidates are probed from the top of the (height, lex) order down, so
+    the self-extension filter fills each maximal box once and every smaller
+    candidate finds its summand set stored.  Each probe depends only on
+    (quiver, alpha, seed), so the order changes no outcome.
     """
     if q.is_dynkin:
         return positive_real_roots(q, bound)
     candidates = positive_real_roots(q, bound)
     keep = []
     undecided = []
-    for alpha in candidates:
+    for alpha in reversed(candidates.roots):
         check = is_real_schur_root(q, alpha, mode="probe", seed=seed, budget=budget)
         if check.ok:
             keep.append(alpha)
         elif check.reason == "probe-exhausted":
             undecided.append(alpha)
     if undecided:
+        undecided.reverse()
         raise ProbeExhausted(
             f"probe budget {budget} exhausted on {undecided}; raise the budget",
             vectors=undecided,

@@ -31,7 +31,7 @@ from .errors import (
     ProbeExhausted,
     SizeMismatch,
 )
-from .linalg import echelon_basis, nullspace, rank
+from .linalg import echelon_basis, nullspace, rank, rank_mod_p
 from .posets import assemble_poset
 from .quiver import DimVec, Quiver, Record, euler_form, support, tits_form
 
@@ -154,9 +154,18 @@ def hom_basis(q: Quiver, m: Representation, n: Representation):
 
 def hom_dim(q: Quiver, m: Representation, n: Representation) -> int:
     """dim Hom(m, n): the unknowns of the intertwining equations minus their
-    rank.  Only the rank is computed, so no basis is built."""
+    rank.  Only the rank is computed, so no basis is built.
+
+    The rank mod p comes first.  When it is full, min(equations, unknowns),
+    the count is max(0, <dim m, dim n>), the least it can be, and exact
+    (see ``linalg``).  That is the End = Q test of an exceptional module and
+    every Ext^1 = 0 check.  Any other count is taken from the exact rank.
+    """
     rows, total, _ = _hom_equations(q, m, n)
-    return total - rank(rows, total)
+    r = rank_mod_p(rows, total)
+    if r < min(len(rows), total):
+        r = rank(rows, total)
+    return total - r
 
 
 def ext_dim(q: Quiver, m: Representation, n: Representation) -> int:
@@ -182,7 +191,9 @@ def sample_exceptional(
     count: dim End is ``hom_dim(rep, rep)``, and dim Ext^1 is that minus the
     Tits form <alpha, alpha>, as in ``ext_dim``.  Vectors with Tits form != 1
     are rejected before sampling, since no exceptional module can exist
-    there.
+    there.  With Tits form 1, End = Q is the least count ``hom_dim`` allows,
+    so an accepted sample is certified by its rank mod p alone; a rejected
+    one pays the exact rank as well.
     """
     alpha = q.check_dimvec(alpha)
     tf = tits_form(q, alpha)

@@ -269,6 +269,36 @@ def nullspace_oracle(rows, ncols: int):
     return basis
 
 
+def hom_dim_oracle(arrows, m, n) -> int:
+    """dim Hom(m, n) for representations with ``dims`` and ``matrices``,
+    ranked by Bareiss alone: ``linalg.rank``, the exact path with no
+    certificate mod p (``rank`` itself is checked against ``rank_oracle``).
+
+    The equations are rebuilt here with the unknowns phi_i[r][c] numbered
+    column-major, one block per vertex: for each arrow a = s -> t, entry
+    (r, c) of phi_t . m_a - n_a . phi_s.
+    """
+    from schur_clusters.linalg import rank
+
+    index = {}
+    for i, (dm, dn) in enumerate(zip(m.dims, n.dims)):
+        for c in range(dm):
+            for r in range(dn):
+                index[i, r, c] = len(index)
+    rows = []
+    for a, (s, t) in enumerate(arrows):
+        s, t = s - 1, t - 1
+        for r in range(n.dims[t]):
+            for c in range(m.dims[s]):
+                row = [0] * len(index)
+                for j in range(m.dims[t]):
+                    row[index[t, r, j]] += m.matrices[a][j][c]
+                for k in range(n.dims[s]):
+                    row[index[s, k, c]] -= n.matrices[a][r][k]
+                rows.append(row)
+    return len(index) - rank(rows, len(index))
+
+
 class PairRecursionOracle:
     """The two-sided E-invariant recursion over exact Python integers.
 

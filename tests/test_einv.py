@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from schur_clusters import (
     Quiver,
+    RootSet,
     clear_caches,
     e_cache_stats,
     e_invariant,
@@ -512,4 +513,48 @@ class TestRealSchurRoots:
     def test_zero_budget_raises_instead_of_dropping(self, kronecker):
         with pytest.raises(errors.ProbeExhausted) as info:
             real_schur_roots(kronecker, bound=3, budget=0)
-        assert info.value.info["vectors"]
+        # Probed top-down, reported in ascending (height, lex) order.
+        vectors = [(0, 1), (1, 0), (1, 2), (2, 1)]
+        assert info.value.info == {"vectors": vectors, "budget": 0}
+        assert str(info.value) == (
+            "probe budget 0 exhausted on [(0, 1), (1, 0), (1, 2), (2, 1)]; "
+            "raise the budget"
+        )
+
+    @pytest.mark.parametrize(
+        "q, bound, roots, fills",
+        [
+            (Quiver(2, [(1, 2), (1, 2)]), 9, 10, (10, 2)),
+            (Quiver(3, [(1, 2), (1, 2), (2, 3)]), 8, 15, (15, 5)),
+        ],
+    )
+    def test_top_down_probe_fills_each_maximal_box_once(
+        self, monkeypatch, q, bound, roots, fills
+    ):
+        tops = []
+        fill = einv._fill
+
+        def counted(memo, top):
+            tops.append(top)
+            fill(memo, top)
+
+        monkeypatch.setattr(einv, "_fill", counted)
+        # The reference probes every candidate bottom-up, one at a time,
+        # and each self-extension check fills its own box.
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        candidates = positive_real_roots(q, bound).roots
+        expected = RootSet(
+            tuple(a for a in candidates if is_real_schur_root(q, a, seed=5).ok),
+            bound,
+            False,
+        )
+        assert (len(expected), len(tops)) == (roots, fills[0])
+        tops.clear()
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        assert real_schur_roots(q, bound, seed=5) == expected
+        assert len(tops) == fills[1]
+        nested = [
+            (t, u) for t in tops for u in tops
+            if t != u and all(a <= b for a, b in zip(t, u))
+        ]
+        assert nested == []

@@ -1,11 +1,14 @@
-"""Fraction-free elimination in ``linalg`` against Fraction Gauss–Jordan."""
+"""Fraction-free elimination in ``linalg`` against Fraction Gauss–Jordan,
+and the rank mod p against the exact rank."""
 
 from fractions import Fraction
+from math import lcm, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schur_clusters.linalg import echelon_basis, nullspace, rank
+from schur_clusters import linalg
+from schur_clusters.linalg import echelon_basis, nullspace, rank, rank_mod_p
 
 from oracles import nullspace_oracle, rank_oracle
 
@@ -96,3 +99,56 @@ class TestExamples:
             (Fraction(0), Fraction(1)),
         ]
         assert nullspace([[], []], 0) == []
+
+
+def _hadamard_square(rows) -> int:
+    """Product of the squared lengths of the rows scaled to integers (1 for
+    a zero row): it bounds the square of every minor of the scaled matrix."""
+    out = 1
+    for row in rows:
+        vals = [Fraction(v) for v in row]
+        scale = lcm(*(v.denominator for v in vals)) if vals else 1
+        out *= max(1, sum(int(v * scale) ** 2 for v in vals))
+    return out
+
+
+class TestRankModP:
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_never_above_rank_and_equal_below_the_hadamard_bound(self, case):
+        rows, ncols = case
+        r = rank(rows, ncols)
+        rp = rank_mod_p(rows, ncols)
+        assert rp <= r
+        # Every minor is smaller than p in absolute value, so a nonzero
+        # minor stays nonzero mod p and the two ranks are equal.
+        if _hadamard_square(rows) < linalg.PRIME**2:
+            assert rp == r
+        # Full rank mod p is full rank over Q.
+        if rp == min(len(rows), ncols):
+            assert r == rp
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                    min_size=0, max_size=4))
+    def test_equal_on_small_int_rows(self, rows):
+        # Four rows in -3..3: every minor is at most 4! * 3^4 = 1944 < p.
+        assert rank_mod_p(rows, 4) == rank(rows, 4) == rank_oracle(rows, 4)
+
+    def test_empty_and_zero_inputs(self):
+        assert rank_mod_p([], 0) == rank_mod_p([], 3) == 0
+        assert rank_mod_p([[], []], 0) == 0
+        assert rank_mod_p([[0, 0, 0]] * 4, 3) == 0
+        assert rank_mod_p([[0, Fraction(0)], [Fraction(1, 3), 2]], 2) == 1
+
+    def test_multiples_of_p_drop_the_rank(self):
+        p = linalg.PRIME
+        assert rank_mod_p([[p, 0], [0, 1]], 2) == 1 < rank([[p, 0], [0, 1]], 2)
+        # Scaling clears denominators, so 1/p is a unit row, not a zero one.
+        assert rank_mod_p([[Fraction(1, p), 1]], 2) == 1
+        assert rank_mod_p([[Fraction(p, 2), p]], 2) == 0
+
+    def test_products_stay_below_one_digit(self):
+        # CPython ints hold 30 bits per digit; residues below 2^15 multiply
+        # inside one digit.
+        assert (linalg.PRIME - 1) ** 2 < 2**30

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schur_clusters
+from schur_clusters import linalg, reps
 from schur_clusters import (
     Quiver,
     cluster_poset,
@@ -19,6 +20,7 @@ from schur_clusters import (
     e_invariant,
     enumerate_clusters,
     errors,
+    euler_form,
     ext_dim,
     gen_leq,
     hom_basis,
@@ -26,11 +28,14 @@ from schur_clusters import (
     is_support_tilting,
     make_representation,
     positive_real_roots,
+    real_schur_roots,
     realize_cluster,
     sample_exceptional,
     stilt_poset,
     zero_representation,
 )
+
+from oracles import hom_dim_oracle
 
 D4_CENTRE = Quiver(4, [(1, 2), (2, 3), (2, 4)])
 D4_SOURCE = Quiver(4, [(1, 2), (1, 3), (1, 4)])
@@ -147,6 +152,103 @@ class TestHomDimByRank:
         q, m, n = case
         assert hom_dim(q, m, n) == len(hom_basis(q, m, n))
         assert hom_dim(q, n, m) == len(hom_basis(q, n, m))
+
+
+KRONECKER = Quiver(2, [(1, 2), (1, 2)])
+WILD = Quiver(3, [(1, 2), (1, 2), (2, 3)])
+
+
+def _scaled(q, rep, k):
+    return make_representation(
+        q, rep.dims, [[[k * v for v in row] for row in mat] for mat in rep.matrices]
+    )
+
+
+def _certificate_cases():
+    """(quiver, m, n) over Kronecker, wild and D4: sampled exceptional
+    modules, zero modules, and modules that are not generic mod p or at
+    all (every matrix times p or 1/p, two equal Kronecker arrows, a zero
+    arrow, a direct sum)."""
+    p = linalg.PRIME
+    for q, roots in (
+        (KRONECKER, real_schur_roots(KRONECKER, bound=7).roots),
+        (WILD, real_schur_roots(WILD, bound=6).roots),
+        (D4_SOURCE, positive_real_roots(D4_SOURCE).roots),
+    ):
+        samples = [sample_exceptional(q, a, seed=3) for a in roots]
+        mods = samples + [zero_representation(q, a) for a in roots[::3]]
+        mods += [_scaled(q, m, p) for m in samples[::2]]
+        mods.append(_scaled(q, samples[-1], Fraction(1, p)))
+        for m in mods:
+            for n in mods:
+                yield q, m, n
+    kron = [sample_exceptional(KRONECKER, a, seed=1) for a in ((2, 3), (3, 4))]
+    for m in kron:
+        a, _ = m.matrices
+        yield KRONECKER, make_representation(KRONECKER, m.dims, [a, a]), m
+        yield KRONECKER, m, make_representation(KRONECKER, m.dims, [a, a])
+        zero = [[0] * len(a[0]) for _ in a]
+        one_arrow = make_representation(KRONECKER, m.dims, [a, zero])
+        yield KRONECKER, one_arrow, one_arrow
+    p1, p2 = (sample_exceptional(WILD, a, seed=2) for a in ((1, 2, 2), (0, 1, 1)))
+    dims = tuple(x + y for x, y in zip(p1.dims, p2.dims))
+    block = []
+    for (s, _), a, b in zip(WILD.arrows, p1.matrices, p2.matrices):
+        ca, cb = p1.dims[s - 1], p2.dims[s - 1]
+        block.append([list(r) + [0] * cb for r in a] + [[0] * ca + list(r) for r in b])
+    split = make_representation(WILD, dims, block)
+    yield WILD, split, split
+    yield WILD, split, p1
+    yield WILD, p2, split
+
+
+class TestCertifiedHomDim:
+    def _count_fallbacks(self, monkeypatch):
+        calls = []
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return linalg.rank(rows, ncols)
+
+        monkeypatch.setattr(reps, "rank", counted)
+        return calls
+
+    def test_equals_bareiss_reference(self, monkeypatch):
+        calls = self._count_fallbacks(monkeypatch)
+        cases = list(_certificate_cases())
+        for q, m, n in cases:
+            assert hom_dim(q, m, n) == hom_dim_oracle(q.arrows, m, n)
+        # Every non-generic case is certified or falls back, never wrong:
+        # some counts above the bound need the exact rank.
+        assert 0 < len(calls) < len(cases)
+
+    def test_multiples_of_p_fall_back(self, monkeypatch):
+        p = linalg.PRIME
+        m = sample_exceptional(KRONECKER, (3, 4), seed=0)
+        calls = self._count_fallbacks(monkeypatch)
+        assert hom_dim(KRONECKER, m, m) == 1
+        assert calls == []
+        big = _scaled(KRONECKER, m, p)
+        assert hom_dim(KRONECKER, big, big) == 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("prime", [2, 3])
+    def test_tiny_prime_changes_no_value(self, monkeypatch, prime):
+        cases = list(_certificate_cases())
+        expected = [hom_dim_oracle(q.arrows, m, n) for q, m, n in cases]
+        roots = ((1, 2, 2), (2, 3, 3))
+        samples = [sample_exceptional(WILD, a, seed=4) for a in roots]
+        monkeypatch.setattr(linalg, "PRIME", prime)
+        calls = self._count_fallbacks(monkeypatch)
+        assert [hom_dim(q, m, n) for q, m, n in cases] == expected
+        assert len(calls) > len(cases) // 10
+        # Every accept/reject decision is exact, so the samples are the same.
+        assert [sample_exceptional(WILD, a, seed=4) for a in roots] == samples
+        assert [ext_dim(WILD, m, n) for m in samples for n in samples] == [
+            hom_dim_oracle(WILD.arrows, m, n) - euler_form(WILD, m.dims, n.dims)
+            for m in samples
+            for n in samples
+        ]
 
 
 def proj_dim(q, i):
