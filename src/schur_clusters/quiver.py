@@ -11,17 +11,19 @@ generation of positive real roots as the Weyl orbit of the simple roots.
 its fields as class annotations, in order; a class-level value is that
 field's default.  Instances are built positionally or by keyword, then
 ``__post_init__`` runs if the class defines one.  Fields cannot be assigned
-or deleted (``AttributeError``); ``cached_property`` still works, since it
-writes the instance dict directly.  Equality, hash and repr are field-wise,
-and ``class X(Record, eq=False)`` keeps identity equality and hashing.  It
-stands in for ``dataclasses``, whose code generation every CLI call would
-otherwise pay for at import.
+or deleted (``AttributeError``).  Values derived at construction are set
+with ``object.__setattr__`` in ``__post_init__``, as ``Quiver`` does.
+``cached_property`` still works for lazy values, since it writes the
+instance dict directly, but once that dict exists every attribute read of
+the instance is slower, so hot classes avoid it.  Equality, hash and repr
+are field-wise, and ``class X(Record, eq=False)`` keeps identity equality
+and hashing.  It stands in for ``dataclasses``, whose code generation every
+CLI call would otherwise pay for at import.
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import cached_property
 from operator import attrgetter, index
 
 from .errors import BadIndex, BoundRequired, CycleDetected, DimensionMismatch, NegativeEntry
@@ -133,13 +135,60 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
 
+def _topological_order(n: int, arrows) -> tuple[int, ...]:
+    """Vertices in a source-to-sink order (arrows go forward)."""
+    order = topological_sort(n, [(s - 1, t - 1) for s, t in arrows])
+    if len(order) != n:
+        stuck = sorted(set(range(1, n + 1)) - {v + 1 for v in order})
+        raise CycleDetected(
+            f"quiver contains an oriented cycle through vertices {stuck}",
+            vertices=stuck,
+        )
+    return tuple(v + 1 for v in order)
+
+
+def _euler_matrix(n: int, arrows) -> tuple[tuple[int, ...], ...]:
+    """Matrix e with <x, y> = x . e . y: identity minus arrow multiplicities."""
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        mat[i][i] = 1
+    for s, t in arrows:
+        mat[s - 1][t - 1] -= 1
+    return tuple(tuple(row) for row in mat)
+
+
+def _positive_definite(sym) -> bool:
+    """Sylvester's criterion with fraction-free integer pivots: the Bareiss
+    pivots are exactly the leading principal minors."""
+    c = [list(row) for row in sym]
+    n = len(c)
+    prev = 1
+    for k in range(n):
+        if c[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                c[i][j] = (c[i][j] * c[k][k] - c[i][k] * c[k][j]) // prev
+        prev = c[k][k]
+    return True
+
+
 class Quiver(Record):
     """A finite acyclic quiver on vertices 1..n.
 
     Construction validates arrow endpoints and rejects oriented cycles, so a
     held instance is always well formed.  Equality is field-wise.  The hash
     is computed once per instance, because every ``reps`` cache key holds
-    the quiver.
+    the quiver.  Construction also sets the derived attributes:
+
+    - ``topological_order``: the vertices in a source-to-sink order.
+    - ``euler_matrix``: e with <x, y> = x . e . y, the identity minus the
+      arrow multiplicities.
+    - ``sym_matrix``: e + e^T, the matrix of the symmetrized form.
+    - ``is_dynkin``: True iff the underlying graph is a disjoint union of
+      ADE diagrams.  Equivalently (Gabriel), the Tits form is positive
+      definite; checked by Sylvester's criterion with exact integer
+      pivots, so multi-edges and affine shapes are rejected exactly.
     """
 
     n: int
@@ -160,60 +209,23 @@ class Quiver(Record):
                     f"arrow ({s}, {t}) out of range for {self.n} vertices",
                     arrow=(s, t),
                 )
-        self.topological_order  # raises CycleDetected on an oriented cycle
+        # The derived tables are plain attributes, set once at construction
+        # like the fields: a cached_property would write the instance
+        # __dict__ and slow every later attribute read (see ``Record``).
+        order = _topological_order(self.n, self.arrows)  # raises CycleDetected
+        euler = _euler_matrix(self.n, self.arrows)
+        sym = tuple(
+            tuple(euler[i][j] + euler[j][i] for j in range(self.n))
+            for i in range(self.n)
+        )
+        object.__setattr__(self, "topological_order", order)
+        object.__setattr__(self, "euler_matrix", euler)
+        object.__setattr__(self, "sym_matrix", sym)
+        object.__setattr__(self, "is_dynkin", _positive_definite(sym))
         object.__setattr__(self, "_hash", hash((self.n, self.arrows)))
 
     def __hash__(self):
         return self._hash
-
-    @cached_property
-    def topological_order(self) -> tuple[int, ...]:
-        """Vertices in a source-to-sink order (arrows go forward)."""
-        order = topological_sort(self.n, [(s - 1, t - 1) for s, t in self.arrows])
-        if len(order) != self.n:
-            stuck = sorted(set(range(1, self.n + 1)) - {v + 1 for v in order})
-            raise CycleDetected(
-                f"quiver contains an oriented cycle through vertices {stuck}",
-                vertices=stuck,
-            )
-        return tuple(v + 1 for v in order)
-
-    @cached_property
-    def euler_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Matrix e with <x, y> = x . e . y: identity minus arrow multiplicities."""
-        mat = [[0] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            mat[i][i] = 1
-        for s, t in self.arrows:
-            mat[s - 1][t - 1] -= 1
-        return tuple(tuple(row) for row in mat)
-
-    @cached_property
-    def sym_matrix(self) -> tuple[tuple[int, ...], ...]:
-        e = self.euler_matrix
-        return tuple(
-            tuple(e[i][j] + e[j][i] for j in range(self.n)) for i in range(self.n)
-        )
-
-    @cached_property
-    def is_dynkin(self) -> bool:
-        """True iff the underlying graph is a disjoint union of ADE diagrams.
-
-        Equivalently (Gabriel): the Tits form is positive definite.  Checked
-        by Sylvester's criterion with fraction-free integer pivots, so
-        multi-edges and affine shapes are rejected exactly.
-        """
-        c = [list(row) for row in self.sym_matrix]
-        prev = 1
-        for k in range(self.n):
-            # Bareiss pivots are exactly the leading principal minors.
-            if c[k][k] <= 0:
-                return False
-            for i in range(k + 1, self.n):
-                for j in range(k + 1, self.n):
-                    c[i][j] = (c[i][j] * c[k][k] - c[i][k] * c[k][j]) // prev
-            prev = c[k][k]
-        return True
 
     def check_dimvec(self, x, allow_negative=False) -> DimVec:
         x = tuple(map(index, x))

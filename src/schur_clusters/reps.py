@@ -3,15 +3,27 @@
 Representations assign a dimension to each vertex and an exact integer or
 rational matrix to each arrow.  Hom spaces are solved from the intertwining
 equations: ``hom_basis`` takes their null space, while ``hom_dim`` needs
-only their rank.  Ext^1 dimensions follow from the Euler form, and
-generation (Gen M membership) is decided by a trace criterion on actual
-matrices.  This gives an independent route to the combinatorial
-invariants: sampled exceptional modules realize cluster variables, and the
-generation order on realized clusters must reproduce the combinatorial
-cluster order.  Realization samples each distinct variable once and checks
-Ext^1 once per pair of variables sharing a cluster; the order is one
-product over a module x cluster table of trace checks, each a rank test on
-image bases reduced once per (generator, module, vertex).
+only their rank (mod p first, see ``linalg``).  Ext^1 dimensions follow
+from the Euler form, Ext^1(a, b) = dim Hom(a, b) - <a, b>, and generation
+(Gen M membership) is decided by a trace criterion on actual matrices.
+This gives an independent route to the combinatorial invariants: sampled
+exceptional modules realize cluster variables, and the generation order on
+realized clusters must reproduce the combinatorial cluster order.
+
+``stilt_poset`` does each piece of exact work once.  It samples each
+distinct variable once and solves ``hom_basis(g, x)`` once per ordered
+pair of the sampled modules, in a table local to the call.  That table
+gives the Ext^1 = 0 check on every pair of variables sharing a cluster,
+and the image of Hom(g, x) at each vertex i, reduced once to an echelon
+basis of rank r[x, g, i] (none when Hom(g, x) = 0).  Module x is generated
+by cluster c when the stacked bases of c's members have rank dim x_i at
+every vertex i.  That stacked rank is at least the largest member's rank,
+since the stack holds each member's rows, and at most the sum of the
+members' ranks, since it has no more rows than they have together.  So the
+largest rank reaching dim x_i at every vertex settles "generated", a sum
+below dim x_i at some vertex settles "not generated", and only the entries
+left open take the exact rank (``_fills``).  ``gen_leq`` and
+``_generated`` stay the per-pair reference.
 """
 
 from __future__ import annotations
@@ -129,8 +141,9 @@ def _hom_equations(q: Quiver, m: Representation, n: Representation):
     return rows, total, off
 
 
-# Bounded so a long process cannot grow it without end; 4096 holds every
-# pair one call needs today (63^2 = 3969 for E7 ``stilt``).
+# Bounded so a long process cannot grow it without end.  ``stilt_poset``
+# holds its own m^2 table (E8 has 120^2 pairs), so nothing relies on this
+# cache holding every pair of a call.
 @lru_cache(maxsize=4096)
 def hom_basis(q: Quiver, m: Representation, n: Representation):
     """Basis of Hom(m, n): tuples of per-vertex matrices phi_i with
@@ -170,7 +183,13 @@ def hom_dim(q: Quiver, m: Representation, n: Representation) -> int:
 
 def ext_dim(q: Quiver, m: Representation, n: Representation) -> int:
     """dim Ext^1(m, n) = dim Hom(m, n) - <dim m, dim n> (hereditary)."""
-    val = hom_dim(q, m, n) - euler_form(q, m.dims, n.dims)
+    return _ext_from_hom(q, m, n, hom_dim(q, m, n))
+
+
+def _ext_from_hom(q: Quiver, m: Representation, n: Representation, hom: int) -> int:
+    """dim Ext^1(m, n) from hom = dim Hom(m, n), raising NegativeExt when
+    the hereditary count goes below zero."""
+    val = hom - euler_form(q, m.dims, n.dims)
     if val < 0:
         raise NegativeExt(
             f"hom - euler = {val} < 0 for dims {m.dims}, {n.dims}; "
@@ -251,30 +270,38 @@ class ModuleList(Record):
         return tuple(v for v, _ in self.items)
 
 
-def _realize(q: Quiver, clusters, seed: int, budget: int) -> tuple[ModuleList, ...]:
-    """ModuleLists for preclusters given as label tuples in canonical order.
-
-    Each distinct positive variable is sampled once, and Ext^1 = 0 is
-    verified on the sampled matrices once for each ordered pair of distinct
-    positive variables that share a precluster (each sample already has
-    Ext^1(rep, rep) = 0).  Any failure is raised loudly.
-    """
-    zero = zero_representation(q)
+def _sample(q: Quiver, clusters, seed: int, budget: int) -> dict:
+    """Each distinct positive variable of the label tuples ``clusters``,
+    sampled once, in order of first appearance."""
     sampled = {}
+    for c in clusters:
+        for v in c:
+            if _positive(v) and v not in sampled:
+                sampled[v] = sample_exceptional(q, v, seed=seed, budget=budget)
+    return sampled
+
+
+def _check_ext(q: Quiver, clusters, sampled: dict, hom_count) -> None:
+    """Verify Ext^1 = 0 on the sampled matrices, once for each ordered pair
+    of distinct positive variables that share a precluster (each sample
+    already has Ext^1(rep, rep) = 0).  ``hom_count(va, vb)`` gives dim
+    Hom(sampled[va], sampled[vb]).  Any failure is raised loudly."""
     pairs = {}
     for c in clusters:
         pos = [v for v in c if _positive(v)]
-        for v in pos:
-            if v not in sampled:
-                sampled[v] = sample_exceptional(q, v, seed=seed, budget=budget)
         pairs.update(((va, vb), None) for va in pos for vb in pos if va != vb)
     for va, vb in pairs:
-        e = ext_dim(q, sampled[va], sampled[vb])
+        e = _ext_from_hom(q, sampled[va], sampled[vb], hom_count(va, vb))
         if e != 0:
             raise RuntimeError(
                 f"internal error: sampled modules for {va}, {vb} have "
                 f"Ext^1 of dimension {e}, contradicting the precluster"
             )
+
+
+def _module_lists(q: Quiver, clusters, sampled: dict) -> tuple[ModuleList, ...]:
+    """ModuleLists for preclusters given as label tuples in canonical order."""
+    zero = zero_representation(q)
     return tuple(
         ModuleList(tuple((v, sampled[v] if _positive(v) else zero) for v in c))
         for c in clusters
@@ -291,9 +318,15 @@ def realize_cluster(q: Quiver, s, seed: int = 0, budget: int = 8) -> ModuleList:
     root depends only on (quiver, root, seed), so shared variables get
     identical modules across different clusters.  The pairwise Ext
     vanishing promised by the precluster is verified on the sampled
-    matrices and any failure is raised loudly.
+    matrices (each count ``hom_dim``'s, mod p first) and any failure is
+    raised loudly.
     """
-    return _realize(q, [tuple(_checked_precluster(q, s))], seed, budget)[0]
+    clusters = [tuple(_checked_precluster(q, s))]
+    sampled = _sample(q, clusters, seed, budget)
+    _check_ext(
+        q, clusters, sampled, lambda va, vb: hom_dim(q, sampled[va], sampled[vb])
+    )
+    return _module_lists(q, clusters, sampled)[0]
 
 
 def is_support_tilting(q: Quiver, modules: ModuleList) -> bool:
@@ -356,21 +389,25 @@ def gen_leq(q: Quiver, n, m) -> bool:
     return all(_generated(q, rep, gens) for rep in _reps_of(n))
 
 
-def _image_bases(q: Quiver, modules) -> list[list[list]]:
+def _image_bases(modules, homs) -> list[list[list]]:
     """bases[x][g][i]: integer echelon rows spanning the image at vertex i
     of all homomorphisms from module g to module x (the columns of phi_i,
-    for phi in ``hom_basis(g, x)``)."""
+    for phi in ``homs[x][g]`` = ``hom_basis(g, x)``).  A zero Hom space
+    has empty bases at every vertex."""
     bases = []
-    for x in modules:
+    for x, homs_x in zip(modules, homs):
+        empty = [[] for _ in x.dims]
         per_g = []
-        for g in modules:
-            homs = hom_basis(q, g, x)
+        for g, hom in zip(modules, homs_x):
+            if not hom:
+                per_g.append(empty)
+                continue
             per_g.append(
                 [
                     echelon_basis(
                         [
                             [phi[i][r][c] for r in range(d)]
-                            for phi in homs
+                            for phi in hom
                             for c in range(g.dims[i])
                         ],
                         d,
@@ -393,6 +430,46 @@ def _fills(x: Representation, per_g, gens) -> bool:
     )
 
 
+def _generation_table(q: Quiver, modules, bases, members) -> np.ndarray:
+    """G[x, c]: module x is generated by the modules of cluster c, the
+    columns set in row c of ``members`` (``_fills``'s trace criterion).
+
+    With r[x, g, i] the rank of bases[x][g][i], the largest and the sum of
+    r[x, g, i] over c's members bound the stacked rank (module docstring).
+    The bounds are gathered one vertex and one member slot at a time, so
+    no temporary is larger than the m x (clusters) table itself, and only
+    the entries they leave open call ``_fills``.
+    """
+    m, n = len(modules), q.n
+    # Stored vertex first, r[i, x, g].  Index m stands for no module: its
+    # ranks are zero, and it fills the slots of clusters with fewer than n
+    # positive members.
+    r = np.zeros((n, m, m + 1), dtype=np.int16)
+    for x, per_g in enumerate(bases):
+        for g, per_i in enumerate(per_g):
+            r[:, x, g] = [len(b) for b in per_i]
+    slots = np.full((n, len(members)), m, dtype=np.intp)
+    for c, row in enumerate(members):
+        gens = np.flatnonzero(row)
+        slots[: len(gens), c] = gens
+    dims = np.array([x.dims for x in modules], dtype=np.int16)
+    generated = np.ones((m, len(members)), dtype=bool)
+    open_ = np.ones_like(generated)
+    for i in range(n):
+        largest = r[i][:, slots[0]]
+        total = largest.copy()
+        for k in range(1, n):
+            ranks = r[i][:, slots[k]]
+            np.maximum(largest, ranks, out=largest)
+            total += ranks
+        generated &= largest >= dims[:, i, None]
+        open_ &= total >= dims[:, i, None]
+    open_ &= ~generated
+    for x, c in zip(*np.nonzero(open_)):
+        generated[x, c] = _fills(modules[x], bases[x], np.flatnonzero(members[c]))
+    return generated
+
+
 def stilt_poset(table: ClusterTable, seed: int = 0, budget: int = 8):
     """The clusters of ``table``, realized, under the generation order.
 
@@ -405,28 +482,43 @@ def stilt_poset(table: ClusterTable, seed: int = 0, budget: int = 8):
     module each) and G[x, c] the trace criterion for module x against
     cluster c, s <= t exactly when ``not (P @ not G)[s, t]``.
 
-    Every piece of exact work is done once: each positive variable is
-    sampled once (``_realize``), and the image of Hom(g, x) at each vertex
-    is reduced to an integer echelon basis once per (g, x, vertex).  G[x, c]
-    then holds when the stacked bases of c's summands have full rank at
-    every vertex of x, which is ``_generated``'s trace criterion; every
-    entry of the order equals ``gen_leq`` on that pair.
+    Every piece of exact work is done once:
+
+    - each positive variable is sampled once (``_sample``);
+    - ``hom_basis(g, x)`` is solved once per ordered pair of the m modules
+      and held in a table local to the call, since the module cache is
+      bounded and E8 has 120^2 pairs.  The Ext^1 = 0 check on variables
+      sharing a cluster reads dim Hom from it, Ext^1(a, b) = dim Hom(a, b)
+      - <a, b>, with ``ext_dim``'s ``NegativeExt`` guard;
+    - the image of Hom(g, x) at each vertex is reduced to an integer
+      echelon basis once per (g, x, vertex), skipped when Hom(g, x) = 0.
+
+    G[x, c] holds when the stacked bases of c's summands have full rank at
+    every vertex of x, which is ``_generated``'s trace criterion.  The
+    stacked rank lies between the largest and the sum of the members'
+    ranks (the stack holds each member's rows, and no more rows than all
+    of them), so these two bounds settle most entries, and only the rest
+    take the exact rank in ``_fills`` (``_generation_table``).  Every entry
+    of the order equals ``gen_leq`` on that pair.
     """
     q = table.quiver
     if not q.is_dynkin:
         raise NotDynkin("the support tilting poset needs a Dynkin quiver")
     enum = table.enumeration(table.clusters)
-    realized = _realize(q, enum.items, seed, budget)
+    sampled = _sample(q, enum.items, seed, budget)
     cols = np.flatnonzero(table.members.any(axis=0) & ~table.negative)
     members = table.members[:, cols]
-    sampled = dict(pair for ml in realized for pair in ml.positives())
-    modules = [sampled[table.variables[i]] for i in cols]
-    gens = [np.flatnonzero(row) for row in members]
-    bases = _image_bases(q, modules)
-    generated = np.array(
-        [[_fills(x, per_g, g) for g in gens] for x, per_g in zip(modules, bases)]
+    variables = [table.variables[i] for i in cols]
+    modules = [sampled[v] for v in variables]
+    homs = [[hom_basis(q, g, x) for g in modules] for x in modules]
+    index = {v: k for k, v in enumerate(variables)}
+    _check_ext(
+        q, enum.items, sampled, lambda va, vb: len(homs[index[vb]][index[va]])
     )
+    bases = _image_bases(modules, homs)
+    generated = _generation_table(q, modules, bases, members)
     leq = ~(members @ ~generated)
+    realized = _module_lists(q, enum.items, sampled)
     return assemble_poset(realized, leq, enum.complete, enum.height_bound)
 
 

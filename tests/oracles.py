@@ -371,3 +371,20 @@ def e_sweep_oracle(q, box: int):
             if not (e == right == left):
                 return pairs, (x, y, e, right, left)
     return pairs, None
+
+
+def generation_table_oracle(q, modules, members) -> np.ndarray:
+    """G[x, c]: module x is generated by the modules of cluster c (the
+    columns set in row c of ``members``), one ``reps._generated`` trace
+    check per (module, cluster) from fresh Hom bases.  The reference for
+    ``stilt_poset``'s table, which reads ranks of reduced image bases and
+    settles most entries by rank bounds."""
+    from schur_clusters.reps import _generated
+
+    return np.array(
+        [
+            [_generated(q, x, tuple(modules[k] for k in np.flatnonzero(row))) for row in members]
+            for x in modules
+        ],
+        dtype=bool,
+    )

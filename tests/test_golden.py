@@ -3,9 +3,9 @@
 The fixtures under ``tests/golden/`` hold the stdout of the invocations
 below: criterion 8's determinism set plus the all-preclusters path on D4
 and the incomplete (height-bounded) poset on the Kronecker quiver.
-Outputs too large to keep as files (E6, E8, A5 DOT, D4 and E6 ``stilt``,
-E6 ``verify``) are pinned by the sha256 of their stdout in
-``digests.json``; E6 ``stilt`` and E6 ``verify`` run only under
+Outputs too large to keep as files (E6, E8, A5 DOT, D4, E6 and E7
+``stilt``, E6 ``verify``) are pinned by the sha256 of their stdout in
+``digests.json``; E7 ``stilt`` and E6 ``verify`` run only under
 ``SCHUR_CLUSTERS_LARGE=1``.  ``REFUSALS`` pins the one stderr line and the
 exit status of refused calls.  After an intended output change,
 regenerate the files and digests with
@@ -65,6 +65,7 @@ DIGEST_INVOCATIONS = {
     "poset-a5.dot": ["poset", "--quiver", _in("a5.quiver"), "--format", "dot"],
     "clusters-e8.json": ["clusters", "--quiver", _in("e8.quiver"), "--allow-large"],
     "stilt-e6-s5.json": ["stilt", "--quiver", _in("e6.quiver"), "--seed", "5"],
+    "stilt-e7-s5.json": ["stilt", "--quiver", _in("e7.quiver"), "--seed", "5"],
     "verify-e6.txt": ["verify", "--quiver", _in("e6.quiver")],
 }
 REFUSALS = {
@@ -84,7 +85,7 @@ REFUSALS = {
         1,
     ),
 }
-LARGE_DIGESTS = {"stilt-e6-s5.json", "verify-e6.txt"}
+LARGE_DIGESTS = {"stilt-e7-s5.json", "verify-e6.txt"}
 DIGESTS = GOLDEN / "digests.json"
 
 

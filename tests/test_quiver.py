@@ -196,10 +196,15 @@ class TestRecord:
         assert repr(Quiver(2, [(1, 2)])) == "Quiver(n=2, arrows=((1, 2),))"
 
     def test_cached_properties(self, a2):
+        # Quiver's derived tables are set at construction and frozen like
+        # its fields; ClusterTable's stay lazy cached properties.
         q = Quiver(2, [(1, 2)])
-        assert "euler_matrix" not in vars(q)
-        assert q.euler_matrix is q.euler_matrix == ((1, -1), (0, 1))
-        assert "euler_matrix" in vars(q) and q == a2
+        assert vars(q)["euler_matrix"] == ((1, -1), (0, 1))
+        assert q.euler_matrix is q.euler_matrix and q == a2
+        assert q.sym_matrix == ((2, -1), (-1, 2))
+        assert q.topological_order == (1, 2) and q.is_dynkin
+        with pytest.raises(AttributeError):
+            q.is_dynkin = False
         table = cluster_table(a2)
         assert "clusters" not in vars(table)
         assert table.clusters is table.clusters and len(table.clusters) == 5

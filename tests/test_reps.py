@@ -3,15 +3,18 @@
 import ast
 import importlib
 import inspect
+import os
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schur_clusters
 from schur_clusters import linalg, reps
+from schur_clusters.fileio import parse_quiver_file
 from schur_clusters import (
     Quiver,
     cluster_poset,
@@ -35,11 +38,12 @@ from schur_clusters import (
     zero_representation,
 )
 
-from oracles import hom_dim_oracle
+from oracles import generation_table_oracle, hom_dim_oracle
 
 D4_CENTRE = Quiver(4, [(1, 2), (2, 3), (2, 4)])
 D4_SOURCE = Quiver(4, [(1, 2), (1, 3), (1, 4)])
 A5 = Quiver(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+GOLDEN = Path(__file__).parent / "golden"
 SMALL_QUIVERS = (
     Quiver(1, []),
     Quiver(2, [(1, 2)]),
@@ -389,6 +393,126 @@ class TestStiltPoset:
         assert [ml.labels() for ml in sp.elements] == [
             tuple(c) for c in cp.elements
         ]
+
+
+def _captured_table(monkeypatch, q, seed=0):
+    """Run ``stilt_poset`` on q's full table and return the arguments and
+    result of its one ``_generation_table`` call, with the number of exact
+    ``_fills`` fallbacks it made."""
+    seen = {"fills": 0}
+    table, fills = reps._generation_table, reps._fills
+
+    def capture(q, modules, bases, members):
+        seen.update(modules=modules, bases=bases, members=members)
+        seen["table"] = table(q, modules, bases, members)
+        return seen["table"]
+
+    def counted(*args):
+        seen["fills"] += 1
+        return fills(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(reps, "_generation_table", capture)
+        patched.setattr(reps, "_fills", counted)
+        stilt_poset(cluster_table(q), seed=seed)
+    return seen
+
+
+def _per_pair_fills(seen):
+    return np.array(
+        [
+            [reps._fills(x, per_g, np.flatnonzero(row)) for row in seen["members"]]
+            for x, per_g in zip(seen["modules"], seen["bases"])
+        ],
+        dtype=bool,
+    )
+
+
+class TestGenerationTable:
+    """``stilt_poset``'s table G[x, c] from rank bounds, against the
+    per-pair trace checks it replaces."""
+
+    @pytest.mark.parametrize(
+        "q",
+        [Quiver(3, [(1, 2), (2, 3)]), Quiver(4, [(1, 2), (2, 3), (3, 4)]), D4_SOURCE, D4_CENTRE],
+        ids=["A3", "A4", "D4-source", "D4-centre"],
+    )
+    def test_equals_generated_oracle(self, monkeypatch, q):
+        seen = _captured_table(monkeypatch, q)
+        expected = generation_table_oracle(q, seen["modules"], seen["members"])
+        assert seen["table"].shape == (len(seen["modules"]), len(seen["members"]))
+        assert (seen["table"] == expected).all()
+        # Both verdicts occur, so neither bound alone decides the table.
+        assert expected.any() and not expected.all()
+
+    def test_e6_equals_per_pair_fills(self, monkeypatch):
+        seen = _captured_table(monkeypatch, parse_quiver_file(GOLDEN / "e6.quiver"))
+        assert seen["table"].size == 29988
+        assert (seen["table"] == _per_pair_fills(seen)).all()
+
+    @pytest.mark.skipif(
+        not os.environ.get("SCHUR_CLUSTERS_LARGE"),
+        reason="stretch target; set SCHUR_CLUSTERS_LARGE=1 to run",
+    )
+    def test_e7_equals_per_pair_fills(self, monkeypatch):
+        seen = _captured_table(monkeypatch, parse_quiver_file(GOLDEN / "e7.quiver"), seed=5)
+        assert seen["table"].size == 262080
+        assert (seen["table"] == _per_pair_fills(seen)).all()
+
+    @pytest.mark.parametrize(
+        "q, fills", [(D4_SOURCE, 3), (GOLDEN / "e6.quiver", 510)], ids=["D4-source", "E6"]
+    )
+    def test_exact_fallback_counts(self, monkeypatch, q, fills):
+        # Image ranks are isomorphism invariants, so the counts do not
+        # depend on the seed.
+        if isinstance(q, Path):
+            q = parse_quiver_file(q)
+        for seed in (0, 7):
+            assert _captured_table(monkeypatch, q, seed=seed)["fills"] == fills
+
+
+class TestSharedExtCheck:
+    """``stilt_poset`` reads its Ext^1 = 0 check off the Hom table, and
+    fails as ``realize_cluster`` does."""
+
+    A2 = Quiver(2, [(1, 2)])
+
+    def test_same_error_as_realize_cluster(self, monkeypatch):
+        # P1 = (1, 1) replaced by the split S1 + S2, so both clusters
+        # holding P1 fail: Ext^1(S1, P1) = 1 and Ext^1(P1, P2) = 1.
+        sample = reps.sample_exceptional
+
+        def split_p1(q, alpha, **kwargs):
+            if alpha == (1, 1):
+                return zero_representation(q, alpha)
+            return sample(q, alpha, **kwargs)
+
+        monkeypatch.setattr(reps, "sample_exceptional", split_p1)
+        table = cluster_table(self.A2)
+        clusters = table.enumeration(table.clusters).items
+        # Only clusters holding P1 fail; the first of them fails first.
+        first = next(c for c in clusters if (1, 1) in c)
+        with pytest.raises(RuntimeError) as expected:
+            realize_cluster(self.A2, first)
+        with pytest.raises(RuntimeError) as got:
+            stilt_poset(table)
+        assert str(got.value) == str(expected.value)
+        assert "Ext^1 of dimension 1" in str(expected.value)
+
+    def test_negative_ext_guard(self, monkeypatch):
+        # Dropping the one map P2 -> P1 leaves dim Hom = 0 < <P2, P1> = 1.
+        basis = reps.hom_basis
+
+        def dropped(q, m, n):
+            return () if (m.dims, n.dims) == ((0, 1), (1, 1)) else basis(q, m, n)
+
+        monkeypatch.setattr(reps, "hom_basis", dropped)
+        with pytest.raises(errors.NegativeExt) as neg:
+            stilt_poset(cluster_table(self.A2))
+        assert neg.value.info["dims"] == ((0, 1), (1, 1))
+        assert str(neg.value).startswith("hom - euler = -1 < 0 for dims (0, 1), (1, 1)")
+        # realize_cluster keeps ext_dim's own count, which is not patched.
+        realize_cluster(self.A2, [(1, 1), (0, 1)])
 
 
 class TestComparePosets:
