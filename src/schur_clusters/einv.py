@@ -16,17 +16,19 @@ fixing x' = x peels only generic quotients of y (Schofield, "General
 representations of quivers", Proc. LMS 1992).
 
 The sets S(w) are filled bottom-up over the box 0 <= w <= top below a
-queried vector, with a bool table Z[a, b] = (e(a, b) == 0) over pairs of
-box cells.  Cells are visited in C order, which lists every a <= w before
-w.  Z[a, w - a] sits at idx(w) + idx(a) * (cells - 1), idx being linear,
-so one strided view of Z holds each anti-diagonal as a box and S(w) is
-the sub-box a <= w masked by it (w itself is kept: e(w, 0) = 0).  Then
-the left one-sided form gives row w at once: Z[w, b] = (min over x' in
-S(w) of <x', b>) >= 0, one product of S(w) with the sub-box b <= top - w,
-the only columns a later read needs.  Each S(w) is stored once per
-quiver, as int64 rows in C order, so a later box only recomputes its Z
-rows; ``generic_summands`` sorts a set when it is called.  Boxes of more
-than ``BOX_LIMIT`` cells are refused before anything is allocated.
+queried vector, one height level at a time, with a bool table
+Z[a, b] = (e(a, b) == 0) over pairs of box cells.  S(w) is the sub-box
+a <= w masked by Z[a, w - a] (w itself is kept: e(w, 0) = 0), and every
+other a <= w lies on a lower level, so the cells of one level never read
+each other's rows.  The left one-sided form then gives the level's rows
+of Z at once: Z[w, b] holds when no x' in S(w) has <x', b> < 0, so with
+NEG[a] the packed sign bits of <a, b> < 0, Z[w] is NOT the OR of NEG[a]
+over a in S(w), one ``bitwise_or.reduceat`` per level.  Columns run in
+(height, C) order, so each row covers only the prefix of cells that a
+later level reads.  Each S(w) is stored once per quiver, as int64 rows
+in C order (a later box over the same cell keeps the stored array);
+``generic_summands`` sorts a set when it is called.  Boxes of more than
+``BOX_LIMIT`` cells are refused before anything is allocated.
 
 The fill uses only the left one-sided form.  ``e_invariant`` still takes
 the two-sided maximum over S(x) x S(y), the definition itself, and
@@ -55,7 +57,7 @@ reference.
 from __future__ import annotations
 
 import math
-from itertools import product
+from bisect import bisect_right
 
 # hashlib's own blake2b: hashlib takes blake2 from _blake2, never from
 # OpenSSL, so importing it here skips loading libcrypto and keeps every
@@ -69,11 +71,17 @@ from .quiver import DimVec, Quiver, Record, RootSet, positive_real_roots, root_k
 from .quiver import tits_form
 
 # Largest box (number of cells 0 <= w <= top) one fill may cover.  The Z
-# table holds one byte per pair of cells, so this caps it at 64 MiB.
+# table holds one byte per pair of cells and NEG one more bit, so this
+# caps the two at 72 MiB.
 BOX_LIMIT = 8192
 
-# Largest product (in cells) ``box_rows`` forms at once: wider rows are cut
-# into column blocks, so one block of float64 holds at most 8 MiB.
+# Largest run of sub-box pairs or gathered NEG words (in cells) ``_fill``
+# hands numpy at once, so each such temporary holds at most 64 KiB.
+FILL_CELL_LIMIT = 2**13
+
+# Largest product (in cells) ``box_rows`` or a level of ``_fill`` forms at
+# once: wider ones are cut into blocks, so one block of float64 holds at
+# most 8 MiB.
 SWEEP_CELL_LIMIT = 2**20
 
 # Integers below this are exact in float64 as well as in int64.
@@ -162,8 +170,42 @@ def _check_exact(memo: _Memo, h: int) -> None:
         )
 
 
+def _blocks(cost: np.ndarray, limit: int) -> list[tuple[int, int]]:
+    """Cut 0..len(cost) into consecutive ranges whose costs sum to at most
+    ``limit``, or to one item where that item alone is over it."""
+    if cost.sum() <= limit:
+        return [(0, len(cost))]
+    cum = np.cumsum(cost).tolist()
+    cuts = [0]
+    while cuts[-1] < len(cum):
+        lo = cuts[-1]
+        hi = bisect_right(cum, (cum[lo - 1] if lo else 0) + limit)
+        cuts.append(max(hi, lo + 1))
+    return list(zip(cuts, cuts[1:]))
+
+
 def _fill(memo: _Memo, top: DimVec) -> None:
-    """Store S(w) for every w in the box 0 <= w <= top."""
+    """Store S(w) for every w in the box 0 <= w <= top, one height level
+    at a time.
+
+    Rows of Z (bytes) and NEG (packed bits) are numbered by cells in C
+    order, their columns in (height, C) order, so the row of a cell at
+    height h covers only the cells of height at most h(top) - h, all that
+    a later level reads of it.  For each level:
+
+    - the pairs (w, a) with a <= w are listed in C order of a, and S(w)
+      keeps those with Z[a, w - a]; the entry Z[w, 0] of a = w is set up
+      front, every other a lies on a lower level;
+    - NEG[w] = (<w, b> < 0) comes from a float64 product, exact under
+      ``_check_exact``;
+    - Z[w] = NOT (OR of NEG[a] over a in S(w)), one
+      ``bitwise_or.reduceat`` over the gathered rows.
+
+    Pairs are listed for runs of cells whose sub-boxes hold at most
+    ``FILL_CELL_LIMIT`` cells together, ORs are cut the same way and
+    products by ``SWEEP_CELL_LIMIT``, so no temporary grows with the width
+    of a level.
+    """
     shape = tuple(t + 1 for t in top)
     cells = math.prod(shape)
     if cells > BOX_LIMIT:
@@ -174,29 +216,73 @@ def _fill(memo: _Memo, top: DimVec) -> None:
             cells=cells,
             limit=BOX_LIMIT,
         )
-    _check_exact(memo, sum(top))
-    grid = np.indices(shape, dtype=np.int64)
-    box = np.moveaxis(grid, 0, -1)
-    ebt = np.tensordot(memo.emat.astype(np.float64), grid, 1)
+    height = sum(top)
+    _check_exact(memo, height)
+    grid = np.indices(shape, dtype=np.intp).reshape(len(shape), cells)
+    box = grid.T.astype(np.int64)  # cell coordinates, rows in C order
+    keys = list(map(tuple, box.tolist()))
+    heights = grid.sum(axis=0)
+    order = np.argsort(heights, kind="stable")  # (height, C) order
+    pos = np.empty(cells, dtype=np.intp)
+    pos[order] = np.arange(cells)
+    # ends[h]: cells of height below h, so level h is order[ends[h] : ends[h + 1]].
+    ends = [0] + np.bincount(heights).cumsum().tolist()
+    span = grid + 1
+    sub = span.prod(axis=0)  # cells of the sub-box below each cell
+    cols = grid[:, order].astype(np.float64)
+    rowe = (box @ memo.emat).astype(np.float64)
+    strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]
+    neg = np.zeros((cells, -(-cells // 64)), dtype=np.uint64)
     z = np.zeros((cells, cells), dtype=bool)
     z[:, 0] = True  # e(a, 0) = 0: S(w) keeps w itself
-    rows = z.reshape((cells,) + shape)
-    # anti[w_idx][a] = Z[a, w - a], at w_idx + idx(a) * (cells - 1) in z.
-    # No offset reaches cells^2: the largest is (cells - 1) * cells.
-    steps = tuple(st * (cells - 1) for st in rows.strides[1:])
-    anti = np.lib.stride_tricks.as_strided(z, rows.shape, (1,) + steps, writeable=False)
-    # Per cell w in C order: the sub-box a <= w, and the sub-box b <= top - w
-    # (Z[w, b] is only ever read with w + b <= top).
-    belows = product(*([slice(a + 1) for a in range(m)] for m in shape))
-    rests = product(*([slice(m - a) for a in range(m)] for m in shape))
-    cuts = zip(product(*map(range, shape)), belows, rests)
-    for w_idx, (w, below, rest) in enumerate(cuts):
-        s = memo.sets.get(w)
-        if s is None:
-            s = memo.sets[w] = box[below][anti[(w_idx,) + below]]
-        cols = ebt[(slice(None),) + rest]
-        low = np.minimum.reduce(s @ cols.reshape(len(cols), -1))
-        rows[(w_idx,) + rest] = low.reshape(cols.shape[1:]) >= 0
+    zflat, zbytes, negbytes = z.reshape(-1), z.view(np.uint8), neg.view(np.uint8)
+    # A block is a run of cells in (height, C) order.  Listing its pairs
+    # reads nothing of Z, so it is done for the whole block at once; then
+    # its levels are filled in turn, each reading rows of lower levels.
+    for lo, hi in _blocks(sub[order], FILL_CELL_LIMIT):
+        ws = order[lo:hi]
+        # The pairs a <= w, in C order of a within each w, axis by axis:
+        # wrep is the C index of w and ia that of a.
+        ia, wrep = np.zeros(len(ws), dtype=np.intp), ws
+        for axis, step in enumerate(strides):
+            cnt = span[axis, wrep]
+            stop = cnt.cumsum()
+            ia = (ia + (cnt - stop) * step).repeat(cnt)
+            ia += np.arange(0, stop[-1] * step, step)
+            wrep = wrep.repeat(cnt)
+        wrep -= ia  # now the C index of w - a
+        zidx = pos[wrep]  # Z[a, w - a]
+        del wrep
+        zidx += ia * cells
+        first = np.concatenate(([0], sub[ws].cumsum()))
+        for h in range(int(heights[ws[0]]), int(heights[ws[-1]]) + 1):
+            c0, c1 = max(ends[h], lo) - lo, min(ends[h + 1], hi) - lo
+            level = ws[c0:c1]
+            width = ends[height - h + 1]
+            chunk = max(1, SWEEP_CELL_LIMIT // width)
+            for r in range(0, len(level), chunk):
+                rows = level[r : r + chunk]
+                low = rowe[rows] @ cols[:, :width]
+                negbytes[rows, : -(-width // 8)] = np.packbits(low < 0, axis=1, bitorder="little")
+            p0, p1 = first[c0], first[c1]
+            keep = zflat[zidx[p0:p1]]
+            kept = ia[p0:p1][keep]
+            counts = np.add.reduceat(keep, first[c0:c1] - p0, dtype=np.intp)
+            stop = counts.cumsum()
+            sets = box[kept]
+            start = 0
+            for w, end in zip(level.tolist(), stop.tolist()):
+                memo.sets.setdefault(keys[w], sets[start:end])
+                start = end
+            # Z[w] = NOT (OR of NEG[a] over a in S(w)), on the level's prefix.
+            words = -(-width // 64)
+            for a, b in _blocks(counts * words, FILL_CELL_LIMIT):
+                seg = stop[a:b] - counts[a:b]
+                gathered = neg[kept[seg[0] : stop[b - 1]], :words]
+                ors = np.bitwise_or.reduceat(gathered, seg - seg[0])
+                zbytes[level[a:b], :width] = np.unpackbits(
+                    (~ors).view(np.uint8), axis=1, count=width, bitorder="little"
+                )
 
 
 def _summands(memo: _Memo, x: DimVec) -> np.ndarray:
@@ -436,6 +522,24 @@ def is_real_schur_root(
     return SchurCheck(True, "probe", "probe-verified", seed=base, rep=rep)
 
 
+def _fill_join(memo: _Memo, vectors) -> None:
+    """Fill the box below the componentwise join of ``vectors`` when it
+    fits ``BOX_LIMIT`` and has no more cells than the boxes of the maximal
+    vectors together, so one fill covers all of them."""
+    if not vectors:
+        return
+    join = tuple(map(max, zip(*vectors)))
+    if join in memo.sets:
+        return
+    maximal = [
+        v for v in vectors
+        if not any(u != v and all(a <= b for a, b in zip(v, u)) for u in vectors)
+    ]
+    cells = math.prod(t + 1 for t in join)
+    if cells <= min(BOX_LIMIT, sum(math.prod(t + 1 for t in v) for v in maximal)):
+        _fill(memo, join)
+
+
 def real_schur_roots(
     q: Quiver, bound: int | None = None, seed: int = 0, budget: int = 8
 ) -> RootSet:
@@ -444,14 +548,18 @@ def real_schur_roots(
     In probe mode any vector whose probe budget runs out is reported by
     raising ProbeExhausted rather than being dropped silently.
 
-    Candidates are probed from the top of the (height, lex) order down, so
-    the self-extension filter fills each maximal box once and every smaller
-    candidate finds its summand set stored.  Each probe depends only on
-    (quiver, alpha, seed), so the order changes no outcome.
+    The box below the componentwise join of the candidates is filled
+    first, when it fits ``BOX_LIMIT`` and has no more cells than the boxes
+    of the maximal candidates together; the self-extension filter then
+    finds every summand set stored.  Otherwise candidates are probed from
+    the top of the (height, lex) order down, so the filter fills each
+    maximal box once.  S(w) depends only on w and each probe only on
+    (quiver, alpha, seed), so neither choice changes an outcome.
     """
     if q.is_dynkin:
         return positive_real_roots(q, bound)
     candidates = positive_real_roots(q, bound)
+    _fill_join(_memo_for(q), candidates.roots)
     keep = []
     undecided = []
     for alpha in reversed(candidates.roots):

@@ -388,3 +388,36 @@ def generation_table_oracle(q, modules, members) -> np.ndarray:
         ],
         dtype=bool,
     )
+
+
+def box_fill_oracle(emat, top) -> dict:
+    """S(w) for every w of the box 0 <= w <= top, one cell at a time.
+
+    The per-cell fill ``einv`` ran before its level fill: cells in C order,
+    a dense bool table Z[a, b] = (e(a, b) == 0), each S(w) the sub-box
+    a <= w masked by one strided anti-diagonal view of Z, and each row
+    Z[w] one product of S(w) . E with the sub-box b <= top - w.  Returns
+    {w: S(w)} with each set as int64 rows in C order, the layout of
+    ``einv``'s stored sets.  The reference for ``einv._fill``.
+    """
+    shape = tuple(t + 1 for t in top)
+    cells = int(np.prod(shape))
+    grid = np.indices(shape, dtype=np.int64)
+    box = np.moveaxis(grid, 0, -1)
+    ebt = np.tensordot(np.asarray(emat, dtype=np.float64), grid, 1)
+    z = np.zeros((cells, cells), dtype=bool)
+    z[:, 0] = True  # e(a, 0) = 0: S(w) keeps w itself
+    rows = z.reshape((cells,) + shape)
+    # anti[w_idx][a] = Z[a, w - a], at w_idx + idx(a) * (cells - 1) in z.
+    steps = tuple(st * (cells - 1) for st in rows.strides[1:])
+    anti = np.lib.stride_tricks.as_strided(z, rows.shape, (1,) + steps, writeable=False)
+    belows = product(*([slice(a + 1) for a in range(m)] for m in shape))
+    rests = product(*([slice(m - a) for a in range(m)] for m in shape))
+    sets = {}
+    cuts = zip(product(*map(range, shape)), belows, rests)
+    for w_idx, (w, below, rest) in enumerate(cuts):
+        s = sets[w] = box[below][anti[(w_idx,) + below]]
+        cols = ebt[(slice(None),) + rest]
+        low = np.minimum.reduce(s @ cols.reshape(len(cols), -1))
+        rows[(w_idx,) + rest] = low.reshape(cols.shape[1:]) >= 0
+    return sets

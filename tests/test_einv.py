@@ -37,7 +37,7 @@ from schur_clusters.einv import (
 )
 from schur_clusters.fileio import emit_quiver_text
 
-from oracles import PairRecursionOracle, e_sweep_oracle
+from oracles import PairRecursionOracle, box_fill_oracle, e_sweep_oracle
 
 
 class TestBaseCases:
@@ -323,13 +323,104 @@ class TestAgainstPairRecursion:
         reason="stretch target; set SCHUR_CLUSTERS_LARGE=1 to run",
     )
     def test_box_at_the_limit(self, kronecker):
-        # (63, 127) has exactly BOX_LIMIT cells, so the fill reads the
-        # anti-diagonal view at its largest offsets.
+        # (63, 127) has exactly BOX_LIMIT cells, so the fill reads Z and
+        # NEG at their largest offsets.
         _MEMOS.pop(kronecker, None)
         top = (63, 127)
         e = e_invariant(kronecker, top, top)
         assert e_invariant_alt(kronecker, top, top) == (e, e)
         _MEMOS.pop(kronecker, None)
+
+
+def _assert_fill_matches_oracle(q, top):
+    """A cold fill stores, for every cell of the box, the per-cell
+    oracle's S(w): same dtype, same rows in the same order."""
+    memo = einv._Memo(q)
+    einv._fill(memo, top)
+    expected = box_fill_oracle(memo.emat, top)
+    assert memo.sets.keys() == expected.keys()
+    for w, s in expected.items():
+        got = memo.sets[w]
+        assert got.dtype == s.dtype == np.int64, w
+        assert got.shape == s.shape and (got == s).all(), (q.arrows, top, w)
+    return memo
+
+
+class TestLevelFill:
+    """The level fill against the per-cell fill it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_quivers(), st.data())
+    def test_random_quivers(self, q, data):
+        top = tuple(data.draw(st.integers(min_value=0, max_value=5)) for _ in range(q.n))
+        _assert_fill_matches_oracle(q, top)
+
+    @pytest.mark.parametrize(
+        "n, arrows, top",
+        [
+            (3, [(1, 2), (1, 2), (2, 3)], (4, 3, 0)),  # an axis of extent zero
+            (1, [], (130,)),  # a one-vertex chain: 131 levels of one cell
+            (1, [], (62,)),  # cell counts around one and two uint64 words
+            (1, [], (63,)),
+            (1, [], (64,)),
+            (1, [], (127,)),
+            (1, [], (128,)),
+            (2, [(1, 2), (1, 2)], (9, 6)),
+            (4, [(1, 2), (1, 2), (2, 3), (4, 3), (1, 4)], (2, 3, 1, 2)),
+        ],
+    )
+    def test_edge_boxes(self, n, arrows, top):
+        _assert_fill_matches_oracle(Quiver(n, arrows), top)
+
+    def test_quiver_without_arrows_keeps_every_subvector(self):
+        q = Quiver(3, [])
+        memo = _assert_fill_matches_oracle(q, (3, 2, 4))
+        for w, s in memo.sets.items():
+            assert s.tolist() == [list(a) for a in _box(w)], w
+
+    def test_one_cell_blocks(self, monkeypatch, wild, kronecker):
+        # Limits below every cost cut each level into single cells, each
+        # OR into single sets and each NEG product into single rows.
+        monkeypatch.setattr(einv, "FILL_CELL_LIMIT", 1)
+        monkeypatch.setattr(einv, "SWEEP_CELL_LIMIT", 1)
+        _assert_fill_matches_oracle(wild, (4, 4, 3))
+        _assert_fill_matches_oracle(kronecker, (6, 9))
+        _assert_fill_matches_oracle(Quiver(1, []), (70,))
+
+    def test_stored_sets_are_kept(self, wild):
+        # A second fill over stored cells leaves their arrays in place.
+        memo = einv._Memo(wild)
+        einv._fill(memo, (2, 1, 2))
+        before = dict(memo.sets)
+        einv._fill(memo, (3, 3, 1))
+        assert all(memo.sets[w] is s for w, s in before.items())
+        expected = box_fill_oracle(memo.emat, (3, 3, 1))
+        assert all((memo.sets[w] == s).all() for w, s in expected.items())
+
+    @pytest.mark.skipif(
+        not os.environ.get("SCHUR_CLUSTERS_LARGE"),
+        reason="stretch target; set SCHUR_CLUSTERS_LARGE=1 to run",
+    )
+    @pytest.mark.parametrize("n, arrows, top", [
+        (3, [(1, 2), (1, 2), (2, 3)], (14, 14, 14)),
+        (2, [(1, 2), (1, 2)], (40, 80)),
+    ])
+    def test_large_boxes(self, n, arrows, top):
+        _assert_fill_matches_oracle(Quiver(n, arrows), top)
+
+
+def _spy_allocations(monkeypatch) -> list:
+    """Record every np.zeros and np.empty call from now on."""
+    calls = []
+    for name in ("zeros", "empty"):
+        real = getattr(np, name)
+
+        def spy(*args, _real=real, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    return calls
 
 
 class TestLimits:
@@ -370,6 +461,38 @@ class TestLimits:
         with pytest.raises(RuntimeError, match="internal error"):
             call(kronecker)
         assert e_cache_stats(kronecker)["summand_sets"] == 0
+
+    def test_limits_refuse_before_any_table_is_allocated(self, monkeypatch, kronecker):
+        # Both guards fire before NEG or Z exists: no zeros or empty call.
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        monkeypatch.setattr(einv, "BOX_LIMIT", 8)
+        calls = _spy_allocations(monkeypatch)
+        with pytest.raises(errors.LimitExceeded):
+            generic_summands(kronecker, (2, 2))
+        assert calls == []
+        monkeypatch.setattr(einv, "BOX_LIMIT", 9)
+        _memo_for(kronecker).emax = 2**53
+        with pytest.raises(RuntimeError, match="exact-product bound"):
+            generic_summands(kronecker, (2, 2))
+        assert calls == []
+        assert e_cache_stats(kronecker)["summand_sets"] == 0
+
+    @pytest.mark.parametrize("cut", [slice(1, None), slice(None, -1)], ids=["zero", "top"])
+    def test_lost_trivial_splitting_of_a_level_set(self, monkeypatch, wild, cut):
+        # The level fill stores each set as a slice of its level's rows;
+        # a slice missing 0 or x is still refused at first use.
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        memo = _memo_for(wild)
+        einv._fill(memo, (3, 3, 3))
+        x = (2, 3, 1)
+        monkeypatch.setitem(memo.sets, x, memo.sets[x][cut])
+        for call in (
+            lambda: e_invariant(wild, x, (1, 1, 1)),
+            lambda: e_invariant_alt(wild, (1, 0, 1), x),
+            lambda: generic_summands(wild, x),
+        ):
+            with pytest.raises(RuntimeError, match="lost a trivial splitting"):
+                call()
 
     @pytest.mark.parametrize("cut", [slice(1, None), slice(None, -1)], ids=["zero", "top"])
     def test_lost_trivial_splitting_is_internal(
@@ -524,21 +647,16 @@ class TestRealSchurRoots:
     @pytest.mark.parametrize(
         "q, bound, roots, fills",
         [
-            (Quiver(2, [(1, 2), (1, 2)]), 9, 10, (10, 2)),
-            (Quiver(3, [(1, 2), (1, 2), (2, 3)]), 8, 15, (15, 5)),
+            (Quiver(2, [(1, 2), (1, 2)]), 9, 10, (10, 1)),
+            (Quiver(3, [(1, 2), (1, 2), (2, 3)]), 8, 15, (15, 1)),
         ],
     )
     def test_top_down_probe_fills_each_maximal_box_once(
         self, monkeypatch, q, bound, roots, fills
     ):
-        tops = []
-        fill = einv._fill
-
-        def counted(memo, top):
-            tops.append(top)
-            fill(memo, top)
-
-        monkeypatch.setattr(einv, "_fill", counted)
+        # The probe fills the join of the candidates once: (5, 5) in place
+        # of (5, 4) and (4, 5), and (4, 4, 3) in place of five boxes.
+        tops = _count_fills(monkeypatch)
         # The reference probes every candidate bottom-up, one at a time,
         # and each self-extension check fills its own box.
         monkeypatch.setattr(einv, "_MEMOS", {})
@@ -558,3 +676,53 @@ class TestRealSchurRoots:
             if t != u and all(a <= b for a, b in zip(t, u))
         ]
         assert nested == []
+
+    @pytest.mark.parametrize(
+        "q, bound, limit, fills",
+        [
+            (Quiver(2, [(1, 2), (1, 2)]), 9, 30, [(5, 4), (4, 5)]),
+            (
+                Quiver(3, [(1, 2), (1, 2), (2, 3)]),
+                8,
+                48,
+                [(2, 3, 3), (4, 3, 0), (3, 4, 0), (3, 2, 2), (2, 4, 1)],
+            ),
+        ],
+    )
+    def test_join_over_the_limit_falls_back_to_maximal_boxes(
+        self, monkeypatch, q, bound, limit, fills
+    ):
+        # With the join's box over BOX_LIMIT, the top-down probe fills each
+        # maximal candidate's box once, and the roots do not change.
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        expected = real_schur_roots(q, bound, seed=5)
+        tops = _count_fills(monkeypatch)
+        monkeypatch.setattr(einv, "BOX_LIMIT", limit)
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        assert real_schur_roots(q, bound, seed=5) == expected
+        assert tops == fills
+
+    def test_join_larger_than_its_boxes_is_not_filled(self, monkeypatch, kronecker):
+        # (5, 0) and (0, 5) have 6 cells each; their join (5, 5) has 36.
+        tops = _count_fills(monkeypatch)
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        memo = _memo_for(kronecker)
+        einv._fill_join(memo, [(5, 0), (0, 5)])
+        assert tops == [] and memo.sets == {}
+        einv._fill_join(memo, [(5, 0), (0, 5), (4, 5)])
+        assert tops == [(5, 5)]
+        einv._fill_join(memo, [(2, 1), (5, 5)])
+        assert tops == [(5, 5)]
+
+
+def _count_fills(monkeypatch) -> list:
+    """Record the top of every ``einv._fill`` call from now on."""
+    tops = []
+    fill = einv._fill
+
+    def counted(memo, top):
+        tops.append(top)
+        fill(memo, top)
+
+    monkeypatch.setattr(einv, "_fill", counted)
+    return tops
