@@ -108,7 +108,8 @@ _BUDGET = _arg(
     dest="probe_budget",
     type=_nonnegative,
     default=8,
-    help="sampling attempts per vector (default 8)",
+    help="module sampling attempts per vector, for stilt, realize and "
+    "verify's stilt-match (default 8)",
 )
 _LARGE = _arg(
     "--allow-large",
@@ -136,11 +137,11 @@ def build_parser():
 
 
 def _table(args) -> cl.ClusterTable:
-    """The quiver's cluster table under the command's bound, seed and budget,
-    refused past the desk-scale guard without --allow-large: after the
-    variables, before the table's clique search."""
+    """The quiver's cluster table under the command's bound, refused past
+    the desk-scale guard without --allow-large: after the variables, before
+    the table's clique search."""
     q = fileio.parse_quiver_file(args.quiver)
-    table = cl.cluster_table(q, args.bound, args.seed, args.probe_budget)
+    table = cl.cluster_table(q, args.bound)
     size = len(table.variables)
     if size > _LARGE_VARS and not args.allow_large:
         raise LimitExceeded(
@@ -170,9 +171,7 @@ def cmd_roots(args):
 
 def cmd_schur(args):
     q = fileio.parse_quiver_file(args.quiver)
-    return _roots_payload(
-        args, einv.real_schur_roots(q, args.bound, args.seed, args.probe_budget)
-    )
+    return _roots_payload(args, einv.real_schur_roots(q, args.bound))
 
 
 def cmd_einv(args):
@@ -325,7 +324,9 @@ def _verification_checks(q, args):
 
     if q.is_dynkin:
         # e(a, b) = max(0, -<a, b>) on positive roots of a Dynkin quiver is
-        # what einv.e_nonzero and the cluster layer rely on.
+        # what einv.e_nonzero and the cluster layer rely on.  The highest
+        # root's box covers every root, so one fill serves all the pairs.
+        einv._fill_join(einv._memo_for(q), rs.roots)
         bad = next(
             (
                 (a, b)
@@ -340,7 +341,7 @@ def _verification_checks(q, args):
             detail = f"mismatch at {bad}"
         checks.append(("e-closed-form", bad is None, detail))
 
-    table = cl.cluster_table(q, args.bound, args.seed, args.probe_budget)
+    table = cl.cluster_table(q, args.bound)
     clusters, v = table.clusters, table.variables
     size = len(v)
     if size <= 22:
@@ -389,7 +390,7 @@ def _verification_checks(q, args):
         # partner.  The count is the table's cliques, the empty one included.
         full = table
         if not table.complete:
-            full = cl.cluster_table(q, None, args.seed, args.probe_budget)
+            full = cl.cluster_table(q)
         count, short = 0, None
         for c, maximal in cl._cliques(full.compat):
             count += 1

@@ -8,15 +8,17 @@ of a positive member.  Clusters are the maximal preclusters; they all have
 exactly as many elements as the quiver has vertices, which the enumeration
 asserts rather than assumes.
 
-One ``ClusterTable`` per (quiver, bound, seed, budget), passed to every
-consumer, holds the variables, the compatibility graph on their indices,
-its cliques (preclusters) and maximal cliques (clusters).  The graph and
-the cluster order come from one matrix of nonvanishing extension
-invariants, ``einv.e_nonzero``: on a Dynkin quiver the closed form
+One ``ClusterTable`` per (quiver, bound), passed to every consumer, holds
+the variables, the compatibility graph on their indices, its cliques
+(preclusters) and maximal cliques (clusters).  The graph and the cluster
+order come from one matrix of nonvanishing extension invariants,
+``einv.e_nonzero``: on a Dynkin quiver the closed form
 <a, b> < 0 on positive roots (Ringel 1984; Marsh-Reineke-Zelevinsky 2003),
 elsewhere filled from ``einv.e_invariant``.  The per-pair predicates
 (``compatible``, ``is_precluster``, ``cluster_geq``), the subset scan and
-``complete_to_cluster``'s own search are kept as references.
+``complete_to_cluster``'s own search are kept as references.  The
+``seed`` and ``budget`` parameters below are accepted and not consulted:
+``real_schur_roots`` samples no module.
 """
 
 from __future__ import annotations
@@ -82,9 +84,11 @@ def is_precluster(q: Quiver, s) -> tuple[bool, str | None]:
     """Check the precluster conditions; reports the first violation.
 
     Positive members must be plausible cluster variables: unit Tits form
-    plus vanishing self-extension invariant, which together pin down exactly
-    the real Schur roots.  The vanishing is then tested on every ordered
-    pair (the diagonal is covered by the membership check).
+    plus vanishing self-extension invariant, which together pin down the
+    real Schur roots of a Dynkin quiver (elsewhere a real root that is not
+    Schur passes, see ``einv.real_schur_roots``).  The vanishing is then
+    tested on every ordered pair (the diagonal is covered by the
+    membership check).
     """
     svars = []
     for v in s:
@@ -298,8 +302,9 @@ def cluster_table(
     q: Quiver, bound: int | None = None, seed: int = 0, budget: int = 8
 ) -> ClusterTable:
     """The ``ClusterTable`` of ``q``: negative simples and the real Schur
-    roots of ``einv.real_schur_roots(q, bound, seed, budget)``."""
-    roots = real_schur_roots(q, bound=bound, seed=seed, budget=budget)
+    roots of ``einv.real_schur_roots(q, bound)``; ``seed`` and ``budget``
+    are accepted and not consulted."""
+    roots = real_schur_roots(q, bound)
     negs = [negative_simple(q, i) for i in range(1, q.n + 1)]
     variables = tuple(sorted(negs + list(roots.roots), key=var_key))
     compat, nz = _compat_matrix(q, variables)
@@ -312,8 +317,9 @@ def cluster_table(
 def cluster_variables(
     q: Quiver, bound: int | None = None, seed: int = 0, budget: int = 8
 ) -> tuple[DimVec, ...]:
-    """All cluster variables: negative simples then real Schur roots."""
-    return cluster_table(q, bound, seed, budget).variables
+    """All cluster variables: negative simples then real Schur roots
+    (``seed`` and ``budget`` are not consulted)."""
+    return cluster_table(q, bound).variables
 
 
 def enumerate_clusters(
@@ -323,9 +329,10 @@ def enumerate_clusters(
 
     These are the maximal cliques of the compatibility graph.  On a complete
     variable set every maximal clique must have exactly n members (maximal
-    preclusters are clusters); that fact is asserted at runtime.
+    preclusters are clusters); that fact is asserted at runtime.  ``seed``
+    and ``budget`` are not consulted.
     """
-    table = cluster_table(q, bound, seed, budget)
+    table = cluster_table(q, bound)
     return table.enumeration(table.clusters)
 
 
@@ -343,8 +350,9 @@ def subset_scan(q: Quiver, variables) -> tuple:
 def enumerate_clusters_naive(
     q: Quiver, bound: int | None = None, seed: int = 0, budget: int = 8
 ) -> tuple:
-    """Subset-scan oracle for cluster enumeration (no clique search)."""
-    return subset_scan(q, cluster_table(q, bound, seed, budget).variables)
+    """Subset-scan oracle for cluster enumeration (no clique search);
+    ``seed`` and ``budget`` are not consulted."""
+    return subset_scan(q, cluster_table(q, bound).variables)
 
 
 def enumerate_preclusters(
@@ -354,8 +362,9 @@ def enumerate_preclusters(
     seed: int = 0,
     budget: int = 8,
 ) -> Enumeration:
-    """All preclusters (cliques of the compatibility graph, plus the empty set)."""
-    table = cluster_table(q, bound, seed, budget)
+    """All preclusters (cliques of the compatibility graph, plus the empty
+    set); ``seed`` and ``budget`` are not consulted."""
+    table = cluster_table(q, bound)
     return table.enumeration(table.preclusters(positive_only))
 
 
@@ -372,7 +381,7 @@ def complete_to_cluster(
     svars = _checked_precluster(q, s)
     if len(svars) == q.n:
         return tuple(svars)
-    table = cluster_table(q, bound, seed, budget)
+    table = cluster_table(q, bound)
     variables = table.variables
     chosen_set = set(svars)
     cands = [

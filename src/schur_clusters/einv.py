@@ -16,42 +16,37 @@ fixing x' = x peels only generic quotients of y (Schofield, "General
 representations of quivers", Proc. LMS 1992).
 
 The sets S(w) are filled bottom-up over the box 0 <= w <= top below a
-queried vector, one height level at a time, with a bool table
-Z[a, b] = (e(a, b) == 0) over pairs of box cells.  S(w) is the sub-box
-a <= w masked by Z[a, w - a] (w itself is kept: e(w, 0) = 0), and every
-other a <= w lies on a lower level, so the cells of one level never read
-each other's rows.  The left one-sided form then gives the level's rows
-of Z at once: Z[w, b] holds when no x' in S(w) has <x', b> < 0, so with
-NEG[a] the packed sign bits of <a, b> < 0, Z[w] is NOT the OR of NEG[a]
-over a in S(w), one ``bitwise_or.reduceat`` per level.  Columns run in
-(height, C) order, so each row covers only the prefix of cells that a
-later level reads.  Each S(w) is stored once per quiver, as int64 rows
-in C order (a later box over the same cell keeps the stored array);
-``generic_summands`` sorts a set when it is called.  Boxes of more than
-``BOX_LIMIT`` cells are refused before anything is allocated.
+queried vector, one height level at a time (``_fill``), with a table
+Z[a, b] = (e(a, b) == 0) over pairs of box cells: S(w) is the sub-box
+a <= w masked by Z[a, w - a], whose other cells lie on lower levels, and
+by the left one-sided form a level's rows of Z are NOT the OR of the
+packed sign rows <a, b> < 0 over a in S(w).  Each S(w) is stored once per
+quiver, as int64 rows in C order; boxes of more than ``BOX_LIMIT`` cells
+are refused before anything is allocated.
 
-The fill uses only the left one-sided form.  ``e_invariant`` still takes
-the two-sided maximum over S(x) x S(y), the definition itself, and
-``e_invariant_alt`` the right and left forms; the three agree by
-Schofield's theorem but share nothing except the sets.  So the ``einv``
-command and the ``verify`` battery compare three formulas, and a wrong
-set would most likely show as a disagreement rather than pass unseen.
-``verify`` evaluates the three forms box-wise (``box_rows``): each
-row x of the box against every y at once, from the sets stacked once.
-``e_invariant`` and ``e_invariant_alt`` stay the per-pair reference.
-Top-level pairs are memoized per quiver.  Every product is exact under
-one proven magnitude bound (``_check_exact``), checked once per fill.
+The fill uses only the left one-sided form, ``e_invariant`` the
+two-sided maximum and ``e_invariant_alt`` the right and left forms.  They
+share only the sets, so the ``einv`` command and ``verify`` (box-wise via
+``box_rows``) compare three formulas, and a wrong set would most likely
+show as a disagreement.  Top-level pairs are memoized per quiver.  Every
+product is exact under one proven bound (``_check_exact``).
+
+A general module M of dimension alpha has End = k (alpha is a Schur root)
+exactly when <b, alpha> - <alpha, b> > 0 for every b in S(alpha) other
+than 0 and alpha (Schofield 1992, Theorem 6.1).  If q(alpha) = 1 then
+dim Ext^1(M, M) = dim End(M) - q(alpha) = 0 and M is exceptional, so
+``real_schur_roots`` reads real Schur roots off the stored sets, with no
+module sampled.  Tits form 1 and e(alpha, alpha) = 0 do not suffice: on
+the affine quiver 1->2->3->4, 1->4, alpha = delta + e3 = (1, 1, 2, 1) has
+both, but b = e3 gives 0 and M splits as delta plus the simple at 3.
 
 On a Dynkin quiver the algebra is representation-directed: for
-indecomposables X, Y at most one of Hom(X, Y) and Ext^1(X, Y) is nonzero.
-So on positive roots the invariant has the closed form
-e(a, b) = max(0, -<a, b>) (Ringel, *Tame algebras and integral quadratic
-forms*, LNM 1099, 1984; Marsh-Reineke-Zelevinsky, "Generalized
-associahedra via quiver representations", 2003).  ``e_nonzero`` uses it to
-give E-vanishing on a whole root table as one matrix product.  The
-general computation still runs for every other argument: non-root vectors,
-every non-Dynkin quiver, and ``e_invariant`` itself, which stays the
-reference.
+indecomposables X, Y at most one of Hom(X, Y) and Ext^1(X, Y) is nonzero,
+so on positive roots e(a, b) = max(0, -<a, b>) (Ringel, *Tame algebras and
+integral quadratic forms*, LNM 1099, 1984; Marsh-Reineke-Zelevinsky,
+"Generalized associahedra via quiver representations", 2003).
+``e_nonzero`` uses it on a whole root table as one matrix product; every
+other argument, and ``e_invariant`` itself, runs the general computation.
 """
 
 from __future__ import annotations
@@ -59,9 +54,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-# hashlib's own blake2b: hashlib takes blake2 from _blake2, never from
-# OpenSSL, so importing it here skips loading libcrypto and keeps every
-# derived seed bit-identical.
+# hashlib's own blake2b (same seeds), imported without OpenSSL's libcrypto.
 from _blake2 import blake2b
 
 import numpy as np
@@ -474,9 +467,10 @@ class SchurCheck(Record):
     """Outcome of a real Schur root test, with its certificate.
 
     ``reason`` is one of: root-table, not-a-root (exact mode); tits-filter,
-    self-ext-filter, probe-verified, probe-exhausted (probe mode).  A probe
-    success carries the seed and the verified exceptional representation.
-    Exhaustion is an explicit outcome, never silently folded into False.
+    self-ext-filter, schofield-filter, probe-verified, probe-exhausted
+    (probe mode).  A probe success carries the seed and the verified
+    exceptional representation; exhaustion means sampling missed on a real
+    Schur root.
     """
 
     ok: bool
@@ -486,15 +480,22 @@ class SchurCheck(Record):
     rep: object | None = None
 
 
+def _schofield(memo: _Memo, alpha: DimVec) -> bool:
+    """Schofield's criterion on the stored S(alpha), rows 0 and alpha cut."""
+    skew = memo.emat - memo.emat.T
+    return bool((memo.sets[alpha][1:-1] @ (skew @ alpha) > 0).all())
+
+
 def is_real_schur_root(
     q: Quiver, alpha, mode: str = "auto", seed: int = 0, budget: int = 8
 ) -> SchurCheck:
     """Test whether alpha is the dimension vector of an exceptional module.
 
     Dynkin quivers admit an exact answer (all positive real roots qualify).
-    Otherwise a probe filters by Tits form and self-extension invariant and
-    then searches for a verified exceptional representation with seeds
-    derived deterministically from (quiver, alpha, seed).
+    Otherwise a probe filters by Tits form, self-extension invariant and
+    Schofield's criterion, and then searches for a verified exceptional
+    representation with seeds derived deterministically from (quiver,
+    alpha, seed).
     """
     alpha = q.check_dimvec(alpha)
     if mode not in ("auto", "exact", "probe"):
@@ -512,6 +513,8 @@ def is_real_schur_root(
         return SchurCheck(False, "probe", "tits-filter")
     if e_invariant(q, alpha, alpha) != 0:
         return SchurCheck(False, "probe", "self-ext-filter")
+    if not _schofield(_memo_for(q), alpha):
+        return SchurCheck(False, "probe", "schofield-filter")
     from . import reps  # deferred: reps pulls in the cluster machinery
 
     base = derived_seed(q, alpha, seed)
@@ -543,36 +546,32 @@ def _fill_join(memo: _Memo, vectors) -> None:
 def real_schur_roots(
     q: Quiver, bound: int | None = None, seed: int = 0, budget: int = 8
 ) -> RootSet:
-    """Positive real Schur roots, exactly (Dynkin) or probe-confirmed (bounded).
+    """Positive real Schur roots: the root table (Dynkin), or the bounded
+    roots alpha with <b, alpha> - <alpha, b> > 0 for every b in S(alpha)
+    other than 0 and alpha (Schofield's criterion), with no module sampled;
+    ``seed`` and ``budget`` are accepted and not consulted.
 
-    In probe mode any vector whose probe budget runs out is reported by
-    raising ProbeExhausted rather than being dropped silently.
-
-    The box below the componentwise join of the candidates is filled
-    first, when it fits ``BOX_LIMIT`` and has no more cells than the boxes
-    of the maximal candidates together; the self-extension filter then
-    finds every summand set stored.  Otherwise candidates are probed from
-    the top of the (height, lex) order down, so the filter fills each
-    maximal box once.  S(w) depends only on w and each probe only on
-    (quiver, alpha, seed), so neither choice changes an outcome.
+    A general module M of such an alpha has End = k, so with q(alpha) = 1,
+    dim Ext^1(M, M) = dim End(M) - q(alpha) = 0.  The Tits and
+    self-extension filters alone do not suffice: on the affine quiver
+    1->2->3->4, 1->4, delta + e3 = (1, 1, 2, 1) has q = 1 and e = 0, but
+    b = e3 gives 0.  A root passing the criterion with e(alpha, alpha) != 0
+    is an internal error: the two share only S(alpha).  The join of the
+    candidates is filled once where ``_fill_join`` allows, else they are
+    decided top-down, so each maximal box is filled once.
     """
     if q.is_dynkin:
         return positive_real_roots(q, bound)
     candidates = positive_real_roots(q, bound)
-    _fill_join(_memo_for(q), candidates.roots)
+    memo = _memo_for(q)
+    _fill_join(memo, candidates.roots)
     keep = []
-    undecided = []
     for alpha in reversed(candidates.roots):
-        check = is_real_schur_root(q, alpha, mode="probe", seed=seed, budget=budget)
-        if check.ok:
+        if tits_form(q, alpha) != 1:
+            continue
+        ext = _e(memo, alpha, alpha)
+        if _schofield(memo, alpha):
+            if ext:
+                raise RuntimeError(f"internal error: Schur root {alpha} has e = {ext}")
             keep.append(alpha)
-        elif check.reason == "probe-exhausted":
-            undecided.append(alpha)
-    if undecided:
-        undecided.reverse()
-        raise ProbeExhausted(
-            f"probe budget {budget} exhausted on {undecided}; raise the budget",
-            vectors=undecided,
-            budget=budget,
-        )
     return RootSet(tuple(sorted(keep, key=root_key)), bound, False)

@@ -421,3 +421,40 @@ def box_fill_oracle(emat, top) -> dict:
         low = np.minimum.reduce(s @ cols.reshape(len(cols), -1))
         rows[(w_idx,) + rest] = low.reshape(cols.shape[1:]) >= 0
     return sets
+
+
+def schur_probe_oracle(q, alpha, budget: int = 64, seed: int = 0) -> bool:
+    """Whether ``alpha`` is a Schur root, read off sampled modules alone.
+
+    True when ``reps.sample_exceptional`` finds a module of dimension
+    ``alpha`` with End = Q within ``budget`` attempts (``hom_dim`` checks it
+    again).  Otherwise ``budget`` further modules are drawn here, with wider
+    entries, and each must have dim End >= 2: dim End is upper
+    semicontinuous, so if one module of dimension ``alpha`` has End = Q so
+    does a general one, and a non-Schur ``alpha`` has no such module at all.
+    A draw with End = Q after the search failed is a sampling miss on a
+    Schur root, and fails the assertion rather than answering.  Meant for
+    vectors of Tits form 1, where End = Q is also Ext^1 = 0.
+    """
+    import random
+
+    from schur_clusters.errors import ProbeExhausted
+    from schur_clusters.reps import Representation, hom_dim, sample_exceptional
+
+    try:
+        rep = sample_exceptional(q, alpha, seed=seed, budget=budget)
+    except ProbeExhausted:
+        pass
+    else:
+        assert hom_dim(q, rep, rep) == 1, alpha
+        return True
+    rng = random.Random(repr((q.arrows, alpha, seed)))
+    for _ in range(budget):
+        mats = tuple(
+            tuple(tuple(rng.randint(-9, 9) for _ in range(alpha[s - 1]))
+                  for _ in range(alpha[t - 1]))
+            for s, t in q.arrows
+        )
+        rep = Representation(tuple(alpha), mats)
+        assert hom_dim(q, rep, rep) >= 2, (alpha, mats)
+    return False

@@ -37,7 +37,21 @@ from schur_clusters.einv import (
 )
 from schur_clusters.fileio import emit_quiver_text
 
-from oracles import PairRecursionOracle, box_fill_oracle, e_sweep_oracle
+from oracles import (
+    PairRecursionOracle,
+    box_fill_oracle,
+    e_sweep_oracle,
+    schur_probe_oracle,
+)
+
+# Affine A3 (arrows 1->2->3->4, 1->4), with null root delta = (1, 1, 1, 1).
+AFFINE_A3 = Quiver(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+# Its real roots of height at most 9 that are not Schur roots: each has Tits
+# form 1 and e(alpha, alpha) = 0, e.g. delta + e3 = delta (+) S3 generically.
+AFFINE_A3_NOT_SCHUR = (
+    (1, 1, 2, 1), (1, 2, 1, 1), (1, 2, 2, 1), (2, 1, 1, 2),
+    (2, 1, 2, 2), (2, 2, 1, 2), (2, 2, 3, 2), (2, 3, 2, 2),
+)
 
 
 class TestBaseCases:
@@ -110,6 +124,21 @@ def small_quivers(draw):
         t = draw(st.integers(min_value=1, max_value=n))
         if s != t:
             arrows.append((min(s, t), max(s, t)))
+    return Quiver(n, arrows)
+
+
+@st.composite
+def non_dynkin_quivers(draw):
+    """Quivers whose underlying graph has a cycle, a double edge among them,
+    so none is Dynkin; every arrow runs up a random vertex ranking."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    cycle = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(2, n))]
+    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n))
+    pairs = pairs.filter(lambda e: e[0] != e[1])
+    edges += draw(st.lists(pairs, max_size=2))
+    rank = draw(st.permutations(range(n)))
+    arrows = [(s, t) if rank[s - 1] < rank[t - 1] else (t, s) for s, t in edges]
     return Quiver(n, arrows)
 
 
@@ -588,6 +617,17 @@ class TestSchurRootCheck:
         check = is_real_schur_root(wild, (1, 1, 1))
         assert not check.ok and check.reason == "tits-filter"
 
+    def test_probe_refuses_a_real_root_that_is_not_schur(self):
+        # Sampling can never certify these, so the criterion refuses them
+        # before any module is drawn, at any budget.
+        for alpha in AFFINE_A3_NOT_SCHUR:
+            for budget in (0, 64):
+                check = is_real_schur_root(AFFINE_A3, alpha, budget=budget)
+                assert (check.ok, check.reason) == (False, "schofield-filter")
+                assert check.seed is None and check.rep is None
+        check = is_real_schur_root(AFFINE_A3, (1, 1, 1, 2))
+        assert check.ok and check.reason == "probe-verified"
+
     def test_probe_on_dynkin_agrees_with_exact(self, a3):
         for alpha in positive_real_roots(a3):
             assert is_real_schur_root(a3, alpha, mode="probe").ok
@@ -633,15 +673,62 @@ class TestRealSchurRoots:
         with pytest.raises(errors.BoundRequired):
             real_schur_roots(kronecker)
 
-    def test_zero_budget_raises_instead_of_dropping(self, kronecker):
-        with pytest.raises(errors.ProbeExhausted) as info:
-            real_schur_roots(kronecker, bound=3, budget=0)
-        # Probed top-down, reported in ascending (height, lex) order.
-        vectors = [(0, 1), (1, 0), (1, 2), (2, 1)]
-        assert info.value.info == {"vectors": vectors, "budget": 0}
-        assert str(info.value) == (
-            "probe budget 0 exhausted on [(0, 1), (1, 0), (1, 2), (2, 1)]; "
-            "raise the budget"
+    def test_zero_budget_still_returns_the_roots(self, kronecker):
+        # No module is sampled, so seed and budget change nothing.
+        expected = RootSet(((0, 1), (1, 0), (1, 2), (2, 1)), 3, False)
+        for seed, budget in ((0, 0), (0, 8), (7, 0), (7, 64)):
+            assert real_schur_roots(kronecker, 3, seed, budget) == expected
+
+    def test_affine_a3_bound_9(self):
+        # A sampling probe exhausts on the 8 that are not Schur at any budget.
+        candidates = positive_real_roots(AFFINE_A3, 9).roots
+        rs = real_schur_roots(AFFINE_A3, 9, budget=0)
+        assert (len(candidates), len(rs)) == (28, 20)
+        assert tuple(a for a in candidates if a not in rs) == AFFINE_A3_NOT_SCHUR
+        for alpha in AFFINE_A3_NOT_SCHUR:
+            assert e_invariant(AFFINE_A3, alpha, alpha) == 0
+        oracle = tuple(a for a in candidates if schur_probe_oracle(AFFINE_A3, a))
+        assert rs.roots == oracle
+
+    @pytest.mark.parametrize(
+        "q, bound, kept",
+        [
+            (Quiver(2, [(1, 2), (1, 2)]), 9, 10),
+            (Quiver(3, [(1, 2), (1, 2), (2, 3)]), 8, 15),
+        ],
+        ids=["kronecker-b9", "wild-b8"],
+    )
+    def test_probe_oracle_agrees(self, q, bound, kept):
+        candidates = positive_real_roots(q, bound).roots
+        expected = tuple(a for a in candidates if schur_probe_oracle(q, a))
+        assert real_schur_roots(q, bound).roots == expected
+        assert len(expected) == kept
+
+    @settings(max_examples=60, deadline=None)
+    @given(non_dynkin_quivers(), st.integers(min_value=3, max_value=7))
+    def test_probe_oracle_agrees_on_small_quivers(self, q, bound):
+        assert not q.is_dynkin
+        candidates = positive_real_roots(q, bound).roots
+        expected = tuple(a for a in candidates if schur_probe_oracle(q, a))
+        assert real_schur_roots(q, bound).roots == expected
+
+    def test_criterion_with_self_extension_is_internal(
+        self, monkeypatch, capsys, tmp_path, kronecker
+    ):
+        # The criterion and the two-sided E maximum share only S(alpha); a
+        # Schur root with e(alpha, alpha) != 0 is an internal error.
+        e = einv._e
+        monkeypatch.setattr(einv, "_e", lambda memo, x, y: e(memo, x, y) + (x == y))
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        with pytest.raises(RuntimeError, match=r"Schur root \(2, 1\) has e = 1"):
+            real_schur_roots(kronecker, 3)
+        path = tmp_path / "kronecker.quiver"
+        path.write_text(emit_quiver_text(kronecker))
+        assert main(["schur", "--quiver", str(path), "--bound", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error[internal]: internal error: Schur root (2, 1) has e = 1\n"
         )
 
     @pytest.mark.parametrize(

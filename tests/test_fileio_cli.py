@@ -307,7 +307,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["schur", "realize"])
     def test_negative_probe_budget_exits_2(self, capsys, quiver_file, a2, command):
-        # The probe would exhaust at once and report probe-exhausted (exit 1).
+        # A negative budget is a usage error (exit 2), refused before any work.
         path = quiver_file("a2.quiver", a2)
         argv = [command, "--quiver", path, "--probe-budget", "-1"]
         if command == "realize":

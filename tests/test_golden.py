@@ -4,8 +4,8 @@ The fixtures under ``tests/golden/`` hold the stdout of the invocations
 below: criterion 8's determinism set plus the all-preclusters path on D4
 and the incomplete (height-bounded) poset on the Kronecker quiver.
 Outputs too large to keep as files (E6, E8, A5 DOT, D4, E6 and E7
-``stilt``, E6 ``verify``) are pinned by the sha256 of their stdout in
-``digests.json``; E7 ``stilt`` and E6 ``verify`` run only under
+``stilt``, E6 ``verify``) and affine A3 ``schur`` are pinned by the
+sha256 of their stdout in ``digests.json``; E7 ``stilt`` and E6 ``verify`` run only under
 ``SCHUR_CLUSTERS_LARGE=1``.  ``REFUSALS`` pins the one stderr line and the
 exit status of refused calls.  After an intended output change,
 regenerate the files and digests with
@@ -67,6 +67,10 @@ DIGEST_INVOCATIONS = {
     "stilt-e6-s5.json": ["stilt", "--quiver", _in("e6.quiver"), "--seed", "5"],
     "stilt-e7-s5.json": ["stilt", "--quiver", _in("e7.quiver"), "--seed", "5"],
     "verify-e6.txt": ["verify", "--quiver", _in("e6.quiver")],
+    # Affine A3: 20 of its 28 real roots up to height 9 are Schur roots.
+    "schur-atilde3-b9.json": [
+        "schur", "--quiver", _in("atilde3.quiver"), "--bound", "9"
+    ],
 }
 REFUSALS = {
     "torsion-count-cycle": (
