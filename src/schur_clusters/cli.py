@@ -218,47 +218,50 @@ def cmd_clusters(args):
     return _enumeration_payload(args, "clusters", table, table.clusters)
 
 
-def _poset_payload(args, cp, elements_json, groups):
-    """``groups`` holds each element's cluster variables; only the DOT
-    labels read them."""
+def _poset_payload(args, p, table, records):
+    """Element k of ``p`` is the table's cluster k; ``records`` holds each
+    table variable's JSON record."""
     if args.format == "dot":
-        labels = [output.cluster_label(c) for c in groups]
-        return output.emit_dot(labels, cp.hasse), 0
+        names = [cl.format_variable(v) for v in table.variables]
+        labels = [", ".join(names[i] for i in c) for c in table.clusters]
+        return output.emit_dot(labels, p.hasse), 0
     if args.format == "tsv":
-        return output.emit_tsv(cp.hasse), 0
+        return output.emit_tsv(p.hasse), 0
     payload = {
         "meta": _meta(args),
-        "complete": cp.complete,
-        "height_bound": cp.height_bound,
-        "elements": elements_json,
-        "hasse": [list(e) for e in cp.hasse],
-        "top": cp.top,
-        "bottom": cp.bottom,
+        "complete": p.complete,
+        "height_bound": p.height_bound,
+        "elements": output.IndexedGroups(records, table.clusters),
+        "hasse": [list(e) for e in p.hasse],
+        "top": p.top,
+        "bottom": p.bottom,
     }
     return output.emit_json(payload), 0
 
 
 def cmd_poset(args):
     table = _table(args)
-    cp = cl.cluster_poset(table)
-    elements = output.variable_groups(table.variables, table.clusters)
-    return _poset_payload(args, cp, elements, cp.elements)
+    records = [output.variable_to_json(v) for v in table.variables]
+    return _poset_payload(args, cl.cluster_poset(table), table, records)
 
 
 def cmd_stilt(args):
     q = fileio.parse_quiver_file(args.quiver)
     if not q.is_dynkin:  # before the table, which would ask for a bound
         raise NotDynkin("the support tilting poset needs a Dynkin quiver")
-    sp = reps.stilt_poset(cl.cluster_table(q), seed=args.seed, budget=args.probe_budget)
-    groups = [ml.labels() for ml in sp.elements]
-    elements = [
-        [
-            {"label": label, "dims": list(rep.dims)}
-            for label, (_, rep) in zip(row, ml.items)
-        ]
-        for row, ml in zip(output.variables_to_json(groups), sp.elements)
+    table = cl.cluster_table(q)
+    sp = reps.stilt_poset(table, seed=args.seed, budget=args.probe_budget)
+    # Every variable lies in a cluster: ``table.clusters`` asserts no maximal clique is short.
+    modules = {
+        i: rep
+        for c, ml in zip(table.clusters, sp.elements)
+        for i, (_, rep) in zip(c, ml.items)
+    }
+    records = [
+        {"label": output.variable_to_json(v), "dims": list(modules[i].dims)}
+        for i, v in enumerate(table.variables)
     ]
-    return _poset_payload(args, sp, elements, groups)
+    return _poset_payload(args, sp, table, records)
 
 
 def cmd_torsion_count(args):

@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .einv import e_invariant, e_nonzero, real_schur_roots
+from .einv import _schur_failure, e_invariant, e_nonzero, real_schur_roots
 from .errors import BadIndex, CompletionNotFound, NotAPrecluster, NotDynkin
 from .posets import FinitePoset, assemble_poset, bit_rows, count_monotone_maps
 from .quiver import DimVec, Quiver, Record, support, tits_form, unit
@@ -83,12 +83,13 @@ def split_variables(s):
 def is_precluster(q: Quiver, s) -> tuple[bool, str | None]:
     """Check the precluster conditions; reports the first violation.
 
-    Positive members must be plausible cluster variables: unit Tits form
-    plus vanishing self-extension invariant, which together pin down the
-    real Schur roots of a Dynkin quiver (elsewhere a real root that is not
-    Schur passes, see ``einv.real_schur_roots``).  The vanishing is then
-    tested on every ordered pair (the diagonal is covered by the
-    membership check).
+    Positive members must be real Schur roots.  Unit Tits form, then the
+    vanishing extension invariant on every ordered pair (the diagonal
+    among them), are tested first; on a Dynkin quiver they decide.  Off
+    Dynkin a real root need not be Schur, so after the other conditions
+    each positive member must pass Schofield's criterion
+    (``einv._schur_failure``), and the reason names its failing generic
+    subvector.
     """
     svars = []
     for v in s:
@@ -113,6 +114,12 @@ def is_precluster(q: Quiver, s) -> tuple[bool, str | None]:
         for a in pos:
             if i in support(a):
                 return (False, f"-e{i} meets the support of {a}")
+    if not q.is_dynkin:
+        for a in pos:
+            failure = _schur_failure(q, a)  # only Schofield's test is left
+            if failure is not None:
+                b = failure[1]
+                return (False, f"{a} is not a Schur root: <{b}, {a}> - <{a}, {b}> <= 0")
     return (True, None)
 
 

@@ -480,10 +480,27 @@ class SchurCheck(Record):
     rep: object | None = None
 
 
-def _schofield(memo: _Memo, alpha: DimVec) -> bool:
-    """Schofield's criterion on the stored S(alpha), rows 0 and alpha cut."""
-    skew = memo.emat - memo.emat.T
-    return bool((memo.sets[alpha][1:-1] @ (skew @ alpha) > 0).all())
+def _schur_failure(q: Quiver, alpha: DimVec) -> tuple[str, DimVec | None] | None:
+    """None when the positive vector alpha is a real Schur root, else the
+    first test it fails: ("tits-filter", None), ("self-ext-filter", None),
+    or ("schofield-filter", b) with b the first vector of the stored S(alpha)
+    other than 0 and alpha with <b, alpha> - <alpha, b> <= 0 (Schofield's
+    criterion, see ``real_schur_roots``).  The criterion holding with
+    e(alpha, alpha) != 0 is an internal error: the two share only S(alpha).
+    """
+    if tits_form(q, alpha) != 1:
+        return "tits-filter", None
+    memo = _memo_for(q)
+    ext = _e(memo, alpha, alpha)
+    rows = memo.sets[alpha][1:-1]
+    bad = np.flatnonzero(rows @ ((memo.emat - memo.emat.T) @ alpha) <= 0)
+    if ext:
+        if not len(bad):
+            raise RuntimeError(f"internal error: Schur root {alpha} has e = {ext}")
+        return "self-ext-filter", None
+    if len(bad):
+        return "schofield-filter", tuple(rows[bad[0]].tolist())
+    return None
 
 
 def is_real_schur_root(
@@ -509,12 +526,9 @@ def is_real_schur_root(
             )
         ok = alpha in positive_real_roots(q)
         return SchurCheck(ok, "exact", "root-table" if ok else "not-a-root")
-    if tits_form(q, alpha) != 1:
-        return SchurCheck(False, "probe", "tits-filter")
-    if e_invariant(q, alpha, alpha) != 0:
-        return SchurCheck(False, "probe", "self-ext-filter")
-    if not _schofield(_memo_for(q), alpha):
-        return SchurCheck(False, "probe", "schofield-filter")
+    failure = _schur_failure(q, alpha)
+    if failure is not None:
+        return SchurCheck(False, "probe", failure[0])
     from . import reps  # deferred: reps pulls in the cluster machinery
 
     base = derived_seed(q, alpha, seed)
@@ -555,23 +569,13 @@ def real_schur_roots(
     dim Ext^1(M, M) = dim End(M) - q(alpha) = 0.  The Tits and
     self-extension filters alone do not suffice: on the affine quiver
     1->2->3->4, 1->4, delta + e3 = (1, 1, 2, 1) has q = 1 and e = 0, but
-    b = e3 gives 0.  A root passing the criterion with e(alpha, alpha) != 0
-    is an internal error: the two share only S(alpha).  The join of the
-    candidates is filled once where ``_fill_join`` allows, else they are
-    decided top-down, so each maximal box is filled once.
+    b = e3 gives 0.  Each root is decided by ``_schur_failure``.  The join
+    of the candidates is filled once where ``_fill_join`` allows, else they
+    are decided top-down, so each maximal box is filled once.
     """
     if q.is_dynkin:
         return positive_real_roots(q, bound)
     candidates = positive_real_roots(q, bound)
-    memo = _memo_for(q)
-    _fill_join(memo, candidates.roots)
-    keep = []
-    for alpha in reversed(candidates.roots):
-        if tits_form(q, alpha) != 1:
-            continue
-        ext = _e(memo, alpha, alpha)
-        if _schofield(memo, alpha):
-            if ext:
-                raise RuntimeError(f"internal error: Schur root {alpha} has e = {ext}")
-            keep.append(alpha)
+    _fill_join(_memo_for(q), candidates.roots)
+    keep = [a for a in reversed(candidates.roots) if _schur_failure(q, a) is None]
     return RootSet(tuple(sorted(keep, key=root_key)), bound, False)

@@ -4,24 +4,16 @@ All emitters are deterministic (sorted JSON keys, stable orderings), so a
 repeated run with the same inputs produces byte-identical output.
 
 ``emit_json`` writes exactly what ``json.dumps(payload, indent=2,
-sort_keys=True)`` writes, plus a newline.  With an indent ``json`` falls
-back to its pure-Python encoder, which renders every occurrence of a
-value afresh; cluster payloads repeat the same few variable records
-thousands of times.  So ``emit_json`` renders each dict once per depth and
-reuses the text: the memo key is ``(id(d), depth)``.  The id is safe
-because every dict in the payload is held by the payload for the whole
-call, so no id can be freed and reused while the memo lives.  The depth is
-part of the key because the same dict at another depth is indented
-differently.  ``variables_to_json`` builds lists in which equal variables
-share one record, so that memo hits (the ``stilt`` labels).
+sort_keys=True)`` writes, plus a newline, rendering every value where it
+occurs; there is no memo.
 
-The ``clusters``, ``preclusters`` and ``poset`` payloads hold their
-cluster lists as index tuples into the table's variables, wrapped by
-``variable_groups``.  ``emit_json`` renders each variable's record once
-and each cluster as the join of those texts over its indices: the bytes
-of the list of records, without building the variable tuples or their
-record lists.  The records belong to the ``IndexedGroups`` in the
-payload, so the memo's ids stay safe.
+The ``clusters``, ``preclusters``, ``poset`` and ``stilt`` payloads hold
+their cluster lists as an ``IndexedGroups``: index tuples into the table's
+variables and one JSON record per variable (``variable_groups`` builds the
+plain ones; ``stilt``'s also carry the module's dims).  ``emit_json``
+renders each record once and each cluster as the join of those texts over
+its indices: the bytes of the list of records, without building the
+variable tuples or their record lists.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .clusters import format_variable, neg_vertex
+from .clusters import neg_vertex
 from .errors import ParseError
 from .quiver import DimVec, Record
 
@@ -39,13 +31,6 @@ def variable_to_json(v: DimVec) -> dict:
     if any(a < 0 for a in v):
         return {"type": "neg_simple", "vertex": neg_vertex(v)}
     return {"type": "root", "dim": list(v)}
-
-
-def variables_to_json(groups) -> list[list[dict]]:
-    """``variable_to_json`` over each group of variables (a sequence of
-    sequences), with one shared record per distinct variable."""
-    records = {v: variable_to_json(v) for v in {v for g in groups for v in g}}
-    return [[records[v] for v in g] for g in groups]
 
 
 class IndexedGroups(Record, eq=False):
@@ -103,35 +88,34 @@ def representation_to_json(rep) -> dict:
     }
 
 
-def cluster_label(c) -> str:
-    return ", ".join(format_variable(v) for v in c)
-
-
 def emit_json(payload) -> str:
     """Canonical JSON: 2-space indent, sorted keys, ASCII only, trailing
     newline.  Dict keys must be ``str`` (``TypeError`` otherwise).  An
     ``IndexedGroups`` renders as its list of lists would."""
-    memo: dict[tuple[int, int], str] = {}
 
     def render(obj, depth: int) -> str:
         if isinstance(obj, str):
             return encode_basestring_ascii(obj)
         if isinstance(obj, dict):
-            key = (id(obj), depth)
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = render_dict(obj, depth)
-            return text
+            if not obj:
+                return "{}"
+            for k in obj:
+                if not isinstance(k, str):
+                    raise TypeError(
+                        f"JSON object keys must be str, not {type(k).__name__}"
+                    )
+            items = (
+                encode_basestring_ascii(k) + ": " + render(obj[k], depth + 1)
+                for k in sorted(obj)
+            )
+            return _wrap("{", items, "}", depth)
         if isinstance(obj, (list, tuple)):
             if not obj:
                 return "[]"
             if all(type(v) is int for v in obj):
                 items = map(int.__repr__, obj)
             else:
-                # Inline memo hits: only dicts are memoised, and the payload
-                # keeps each alive, so an entry under id(v) is v's own text.
-                d = depth + 1
-                items = [memo.get((id(v), d)) or render(v, d) for v in obj]
+                items = (render(v, depth + 1) for v in obj)
             return _wrap("[", items, "]", depth)
         if isinstance(obj, IndexedGroups):
             texts = [render(r, depth + 2) for r in obj.records]
@@ -141,18 +125,6 @@ def emit_json(payload) -> str:
             ]
             return _wrap("[", lists, "]", depth) if lists else "[]"
         return json.dumps(obj)
-
-    def render_dict(d: dict, depth: int) -> str:
-        if not d:
-            return "{}"
-        for k in d:
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be str, not {type(k).__name__}")
-        items = (
-            encode_basestring_ascii(k) + ": " + render(d[k], depth + 1)
-            for k in sorted(d)
-        )
-        return _wrap("{", items, "}", depth)
 
     return render(payload, 0) + "\n"
 

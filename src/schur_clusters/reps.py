@@ -312,9 +312,11 @@ def realize_cluster(q: Quiver, s, seed: int = 0, budget: int = 8) -> ModuleList:
     """Attach modules to every variable of a precluster.
 
     The precluster check is the only test of the positive members: unit
-    Tits form and e(a, a) = 0 hold exactly for the real Schur roots, and
-    the sampled exceptional module is each one's certificate, raising
-    ProbeExhausted when the budget runs out.  The sample for a positive
+    Tits form and e(a, a) = 0, which pick out the real Schur roots of a
+    Dynkin quiver, and off Dynkin Schofield's criterion as well, so a real
+    root that is not Schur raises NotAPrecluster.  The sampled exceptional
+    module is each one's certificate, raising ProbeExhausted when the
+    budget runs out, which then means sampling missed on a real Schur root.  The sample for a positive
     root depends only on (quiver, root, seed), so shared variables get
     identical modules across different clusters.  The pairwise Ext
     vanishing promised by the precluster is verified on the sampled

@@ -316,6 +316,13 @@ class TestCompletion:
         with pytest.raises(errors.NotAPrecluster):
             complete_to_cluster(a2, [(1, 0), (0, 1)])
 
+    def test_rejects_a_real_root_that_is_not_schur(self):
+        # Affine A3: delta + e3 has Tits form 1 and e = 0, but generically
+        # splits off S3, so Schofield's criterion fails at e3.
+        q = Quiver(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        with pytest.raises(errors.NotAPrecluster, match=r"not a Schur root: <\(0, 0, 1, 0\)"):
+            complete_to_cluster(q, [(1, 1, 2, 1)], bound=9)
+
     def test_impossible_completion(self, kronecker):
         # The only partners of (2,3) are (1,2) and (3,4), both taller than
         # the bound, so the bounded pool offers no completion.

@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schur_clusters import (
@@ -21,6 +21,7 @@ from schur_clusters import (
     euler_form,
     generic_summands,
     hom_basis,
+    is_precluster,
     is_real_schur_root,
     positive_real_roots,
     real_schur_roots,
@@ -711,6 +712,15 @@ class TestRealSchurRoots:
         candidates = positive_real_roots(q, bound).roots
         expected = tuple(a for a in candidates if schur_probe_oracle(q, a))
         assert real_schur_roots(q, bound).roots == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(non_dynkin_quivers(), st.integers(min_value=3, max_value=6))
+    @example(AFFINE_A3, 9)
+    def test_single_member_precluster_is_schur_membership(self, q, bound):
+        # is_precluster and real_schur_roots share one test of a root.
+        schur = set(real_schur_roots(q, bound).roots)
+        for a in positive_real_roots(q, bound).roots:
+            assert is_precluster(q, [a])[0] == (a in schur), a
 
     def test_criterion_with_self_extension_is_internal(
         self, monkeypatch, capsys, tmp_path, kronecker

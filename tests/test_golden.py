@@ -1,13 +1,15 @@
 """Golden CLI outputs: stdout must stay byte-identical across refactors.
 
 The fixtures under ``tests/golden/`` hold the stdout of the invocations
-below: criterion 8's determinism set plus the all-preclusters path on D4
-and the incomplete (height-bounded) poset on the Kronecker quiver.
-Outputs too large to keep as files (E6, E8, A5 DOT, D4, E6 and E7
-``stilt``, E6 ``verify``) and affine A3 ``schur`` are pinned by the
-sha256 of their stdout in ``digests.json``; E7 ``stilt`` and E6 ``verify`` run only under
-``SCHUR_CLUSTERS_LARGE=1``.  ``REFUSALS`` pins the one stderr line and the
-exit status of refused calls.  After an intended output change,
+below: criterion 8's determinism set plus the all-preclusters path on D4,
+the incomplete (height-bounded) poset on the Kronecker quiver and the A3
+``stilt`` DOT labels.  Outputs too large to keep as files (E6, E8, A5
+DOT, D4, E6 and E7 ``stilt``, E6 ``verify``) and affine A3 ``schur`` are
+pinned by the sha256 of their stdout in ``digests.json``; E7 ``stilt``
+and E6 ``verify`` run only under ``SCHUR_CLUSTERS_LARGE=1``.
+``REFUSALS`` pins the one stderr line and the exit status of refused
+calls, among them ``realize`` on a real root of affine A3 that is not a
+Schur root.  After an intended output change,
 regenerate the files and digests with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -30,6 +32,7 @@ def _in(name: str) -> str:
 
 
 A2_VARS = '[{"type":"root","dim":[1,1]},{"type":"root","dim":[0,1]}]'
+ATILDE3_VARS = '[{"type":"root","dim":[1,1,2,1]}]'
 
 INVOCATIONS = {
     "roots-d4.json": ["roots", "--quiver", _in("d4.quiver")],
@@ -49,6 +52,9 @@ INVOCATIONS = {
     "poset-d4.json": ["poset", "--quiver", _in("d4.quiver")],
     "poset-a2.dot": ["poset", "--quiver", _in("a2.quiver"), "--format", "dot"],
     "stilt-a3-s11.json": ["stilt", "--quiver", _in("a3.quiver"), "--seed", "11"],
+    "stilt-a3-s11.dot": [
+        "stilt", "--quiver", _in("a3.quiver"), "--seed", "11", "--format", "dot"
+    ],
     "verify-a2.json": ["verify", "--quiver", _in("a2.quiver"), "--format", "json"],
     "torsion-count-a2.txt": [
         "torsion-count", "--quiver", _in("a2.quiver"), "--poset", _in("p.poset")
@@ -86,6 +92,13 @@ REFUSALS = {
     "stilt-kron": (
         ["stilt", "--quiver", _in("kron.quiver")],
         "error[not-dynkin]: the support tilting poset needs a Dynkin quiver",
+        1,
+    ),
+    # Affine A3: delta + e3 is a real root but not a Schur root.
+    "realize-atilde3-not-schur": (
+        ["realize", "--quiver", _in("atilde3.quiver"), "--vars", ATILDE3_VARS],
+        "error[not-a-precluster]: not a precluster: (1, 1, 2, 1) is not a Schur "
+        "root: <(0, 0, 1, 0), (1, 1, 2, 1)> - <(1, 1, 2, 1), (0, 0, 1, 0)> <= 0",
         1,
     ),
 }

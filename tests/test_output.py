@@ -1,5 +1,6 @@
 """emit_json against json.dumps(indent=2, sort_keys=True), the oracle it
-must match byte for byte, and the shared variable records it relies on."""
+must match byte for byte, on plain payloads and on the indexed record
+groups of the cluster payloads."""
 
 import json
 import math
@@ -8,12 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schur_clusters.output import (
-    emit_json,
-    variable_groups,
-    variable_to_json,
-    variables_to_json,
-)
+from schur_clusters.output import emit_json, variable_groups, variable_to_json
 
 
 def oracle(payload) -> str:
@@ -58,10 +54,15 @@ def payloads(draw):
     }
 
 
+# One dict object held at two places and at two depths.
+SHARED = {"a": [1, {"b": "c"}]}
+
+
 class TestEmitJson:
     @settings(max_examples=200, deadline=None)
     @given(payloads())
     @example({"same_depth": [{"a": [1, True, 2]}], "deeper": {"x": [{"a": [False]}]}})
+    @example({"same_depth": [SHARED, SHARED], "deeper": {"x": [SHARED]}, "top": SHARED})
     def test_matches_json_dumps(self, payload):
         assert emit_json(payload) == oracle(payload)
 
@@ -92,20 +93,6 @@ class TestEmitJson:
     def test_non_str_key_raises(self, key):
         with pytest.raises(TypeError):
             emit_json({"ok": {key: 1}})
-
-
-class TestVariablesToJson:
-    def test_equal_variables_share_one_record(self):
-        groups = [((1, 0), (0, -1)), ((0, -1), (1, 1)), [(1, 0)]]
-        out = variables_to_json(groups)
-        assert out == [[variable_to_json(v) for v in g] for g in groups]
-        assert out[0][1] is out[1][0]
-        assert out[0][0] is out[2][0]
-        assert emit_json({"clusters": out}) == oracle({"clusters": out})
-
-    def test_empty(self):
-        assert variables_to_json([]) == []
-        assert variables_to_json([()]) == [[]]
 
 
 variable_lists = st.lists(
