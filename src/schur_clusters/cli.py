@@ -15,13 +15,21 @@ so such a call never imports argparse, gettext or locale, whose setup
 would cost a small job more than its work.  Everything else goes to one
 argparse parser of every command, the only source of help, usage and
 error text.
+
+A handler returns its text, or its JSON payload without ``meta``; ``main``
+puts every payload in the one envelope, ``{"meta": ..., **payload}``.
+``verify`` runs ``_CHECKS``, one small function per check in output order,
+over one ``_VerifyInputs``: the quiver, the args, and the roots, cluster
+table and cluster poset, each built when a check first reads it, so a
+refusal early in the table (E8's ``e-closed-form``) comes before any
+clique search or poset.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from itertools import product
+from functools import cached_property
 from types import SimpleNamespace
 
 from . import clusters as cl
@@ -37,7 +45,9 @@ from .quiver import (
     euler_form,
     positive_real_roots,
     projective_dimension_vectors,
+    root_key,
     tits_form,
+    unit,
 )
 
 # Variable sets beyond this need --allow-large (rank E6 and up).
@@ -155,13 +165,11 @@ def _table(args) -> cl.ClusterTable:
 def _roots_payload(args, rs):
     if args.format == "tsv":
         return output.emit_tsv(rs.roots), 0
-    payload = {
-        "meta": _meta(args),
+    return {
         "complete": rs.complete,
         "height_bound": rs.height_bound,
         "roots": [list(r) for r in rs.roots],
-    }
-    return output.emit_json(payload), 0
+    }, 0
 
 
 def cmd_roots(args):
@@ -181,7 +189,6 @@ def cmd_einv(args):
     value = einv.e_invariant(q, x, y)
     right, left = einv.e_invariant_alt(q, x, y)
     payload = {
-        "meta": _meta(args),
         "x": list(x),
         "y": list(y),
         "e": value,
@@ -189,7 +196,7 @@ def cmd_einv(args):
     }
     if args.stats:
         payload["stats"] = einv.e_cache_stats(q)
-    return output.emit_json(payload), 0
+    return payload, 0
 
 
 def _enumeration_payload(args, key, table, groups):
@@ -197,14 +204,12 @@ def _enumeration_payload(args, key, table, groups):
     if args.format == "tsv":
         labels = [cl.format_variable(v) for v in table.variables]
         return output.emit_tsv([[labels[i] for i in g] for g in groups]), 0
-    payload = {
-        "meta": _meta(args),
+    return {
         "complete": table.complete,
         "height_bound": table.height_bound,
         "count": len(groups),
         key: output.variable_groups(table.variables, groups),
-    }
-    return output.emit_json(payload), 0
+    }, 0
 
 
 def cmd_preclusters(args):
@@ -227,16 +232,14 @@ def _poset_payload(args, p, table, records):
         return output.emit_dot(labels, p.hasse), 0
     if args.format == "tsv":
         return output.emit_tsv(p.hasse), 0
-    payload = {
-        "meta": _meta(args),
+    return {
         "complete": p.complete,
         "height_bound": p.height_bound,
         "elements": output.IndexedGroups(records, table.clusters),
         "hasse": [list(e) for e in p.hasse],
         "top": p.top,
         "bottom": p.bottom,
-    }
-    return output.emit_json(payload), 0
+    }, 0
 
 
 def cmd_poset(args):
@@ -270,7 +273,7 @@ def cmd_torsion_count(args):
     count = cl.torsion_class_count(q, p, method=args.method)
     if args.format == "text":
         return f"{count}\n", 0
-    return output.emit_json({"meta": _meta(args), "count": count}), 0
+    return {"count": count}, 0
 
 
 def cmd_realize(args):
@@ -283,134 +286,154 @@ def cmd_realize(args):
         raise ParseError(0, "--vars must be a JSON list of cluster variables")
     svars = [output.variable_from_json(obj, q.n) for obj in raw]
     ml = reps.realize_cluster(q, svars, seed=args.seed, budget=args.probe_budget)
-    payload = {
-        "meta": _meta(args),
-        "modules": [
-            {
-                "label": output.variable_to_json(v),
-                **output.representation_to_json(rep),
-            }
-            for v, rep in ml.items
-        ],
-    }
-    return output.emit_json(payload), 0
+    modules = [
+        {"label": output.variable_to_json(v), **output.representation_to_json(rep)}
+        for v, rep in ml.items
+    ]
+    return {"modules": modules}, 0
 
 
-def _verification_checks(q, args):
-    """The checks as (name, ok, detail) triples; ok is None for a check
-    skipped because its input is too large."""
-    checks = []
+class _VerifyInputs(SimpleNamespace):
+    """``q`` and ``args``, and what the checks build from them on first use.
+    The roots are every positive root of a Dynkin quiver, under ``--bound``
+    too; ``poset`` is the error message when ``cluster_poset`` refuses."""
 
-    pairs, bad = einv.box_sweep(q, args.box)
-    detail = f"{pairs} pairs in box {args.box}" if bad is None else f"mismatch at {bad}"
-    checks.append(("e-invariant-formulas", bad is None, detail))
+    @cached_property
+    def roots(self):
+        return positive_real_roots(self.q, None if self.q.is_dynkin else self.args.bound).roots
 
-    if q.is_dynkin:
-        rs = positive_real_roots(q)
-        maxent = max(max(r) for r in rs.roots)
-        space = (maxent + 1) ** q.n
-        if space <= 300000:
-            grid = {
-                x
-                for x in product(range(maxent + 1), repeat=q.n)
-                if any(x) and tits_form(q, x) == 1
-            }
-            ok = grid == set(rs.roots)
-            detail = f"{len(rs.roots)} roots match the unit Tits locus"
-        else:
-            ok, detail = None, f"grid of {space} vectors exceeds 300000"
-    else:
-        rs = positive_real_roots(q, args.bound)
-        ok = all(tits_form(q, r) == 1 for r in rs.roots)
-        detail = f"{len(rs.roots)} bounded roots all have Tits form 1"
-    checks.append(("roots-closure", ok, detail))
+    @cached_property
+    def table(self):
+        return cl.cluster_table(self.q, self.args.bound)
 
-    if q.is_dynkin:
-        # e(a, b) = max(0, -<a, b>) on positive roots of a Dynkin quiver is
-        # what einv.e_nonzero and the cluster layer rely on.  The highest
-        # root's box covers every root, so one fill serves all the pairs.
-        einv._fill_join(einv._memo_for(q), rs.roots)
-        bad = next(
-            (
-                (a, b)
-                for a in rs.roots
-                for b in rs.roots
-                if max(0, -euler_form(q, a, b)) != einv.e_invariant(q, a, b)
-            ),
-            None,
-        )
-        detail = f"max(0, -<a, b>) equals e(a, b) on {len(rs.roots) ** 2} root pairs"
-        if bad is not None:
-            detail = f"mismatch at {bad}"
-        checks.append(("e-closed-form", bad is None, detail))
+    @cached_property
+    def poset(self):
+        try:
+            return cl.cluster_poset(self.table)
+        except SchurClustersError as exc:
+            return str(exc)
 
-    table = cl.cluster_table(q, args.bound)
-    clusters, v = table.clusters, table.variables
-    size = len(v)
-    if size <= 22:
-        naive = cl.subset_scan(q, v)
-        ok = tuple(tuple(v[i] for i in c) for c in clusters) == naive
-        detail = f"clique search and subset scan both give {len(naive)}"
-    else:
-        ok = None
-        detail = (
-            f"{len(clusters)} clusters; subset scan not run on {size} > 22 variables"
-        )
-    checks.append(("cluster-count", ok, detail))
 
-    try:
-        cp = cl.cluster_poset(table)
-        ok, detail = True, f"axioms hold on {len(cp.elements)} clusters"
-        # Top = projectives and bottom = negatives hold only for the full set.
-        if q.is_dynkin and cp.complete:
-            if cp.top is None or cp.bottom is None:
-                ok, detail = False, "missing top or bottom"
-            else:
-                top_pos = cl.split_variables(cp.elements[cp.top])[0]
-                projs = tuple(sorted(projective_dimension_vectors(q), key=cl.var_key))
-                if top_pos != projs:
-                    ok, detail = False, "top cluster is not the projectives"
-                elif cl.split_variables(cp.elements[cp.bottom])[0]:
-                    ok, detail = False, "bottom cluster has a positive member"
-                else:
-                    detail += "; top = projectives, bottom = negatives"
-        elif q.is_dynkin:
-            detail += f"; top and bottom not checked under height bound {args.bound}"
-    except SchurClustersError as exc:
-        ok, detail = False, str(exc)
-        cp = None
-    checks.append(("cluster-poset", ok, detail))
+def _e_invariant_formulas(v):
+    pairs, bad = einv.box_sweep(v.q, v.args.box)
+    return bad is None, f"mismatch at {bad}" if bad else f"{pairs} pairs in box {v.args.box}"
 
-    if q.is_dynkin and cp is not None:
-        sp = reps.stilt_poset(table, seed=args.seed, budget=args.probe_budget)
-        same, witness = reps.compare_posets(cp, sp)
-        detail = "generation order matches the cluster order"
-        if not same:
-            detail = f"mismatch at {witness}"
-        checks.append(("stilt-match", same, detail))
-        # Every precluster extends to a cluster exactly when no maximal clique
-        # of the full graph is short; a bounded precluster may need a taller
-        # partner.  The count is the table's cliques, the empty one included.
-        full = table
-        if not table.complete:
-            full = cl.cluster_table(q)
-        count, short = 0, None
-        for c, maximal in cl._cliques(full.compat):
-            count += 1
-            if short is None and maximal and len(c) < q.n:
-                short = c
-        if full is not table:
-            count = sum(1 for _ in cl._cliques(table.compat))
-        detail = f"all {count} preclusters extend to clusters"
-        if short is not None:
-            detail = f"no completion for {tuple(full.variables[i] for i in short)}"
-        checks.append(("precluster-extension", short is None, detail))
-    return checks
+
+def _roots_closure(v):
+    q, roots = v.q, v.roots
+    if not q.is_dynkin:
+        for r in roots:
+            if (t := tits_form(q, r)) != 1:
+                return False, f"tits form of {r} is {t}, not 1"
+        return True, f"{len(roots)} bounded roots all have Tits form 1"
+    # Every non-simple positive root is a positive root plus a simple one
+    # (Humphreys, 10.2): climb from the simples while the Tits form stays 1.
+    ladder = [unit(q.n, i) for i in range(1, q.n + 1)]
+    found = set(ladder)
+    for x in ladder:  # grows while it is read
+        for y in (x[:i] + (x[i] + 1,) + x[i + 1 :] for i in range(q.n)):
+            if y not in found and tits_form(q, y) == 1:
+                found.add(y)
+                ladder.append(y)
+    if differ := found.symmetric_difference(roots):
+        return False, f"mismatch at {min(differ, key=root_key)}"
+    return True, f"{len(roots)} roots match the unit Tits locus"
+
+
+def _e_closed_form(v):
+    # e(a, b) = max(0, -<a, b>) on positive roots of a Dynkin quiver is
+    # what einv.e_nonzero and the cluster layer rely on.  The highest
+    # root's box covers every root, so one fill serves all the pairs.
+    q, roots = v.q, v.roots
+    if not q.is_dynkin:
+        return None
+    einv._fill_join(einv._memo_for(q), roots)
+    for a in roots:
+        for b in roots:
+            if max(0, -euler_form(q, a, b)) != einv.e_invariant(q, a, b):
+                return False, f"mismatch at {(a, b)}"
+    return True, f"max(0, -<a, b>) equals e(a, b) on {len(roots) ** 2} root pairs"
+
+
+def _cluster_count(v):
+    table, size = v.table, len(v.table.variables)
+    if size > 22:
+        skip = f"{len(table.clusters)} clusters; subset scan not run on {size} > 22 variables"
+        return None, skip
+    found = {tuple(table.variables[i] for i in c) for c in table.clusters}
+    naive = cl.subset_scan(v.q, table.variables)
+    if differ := found.symmetric_difference(naive):
+        return False, f"mismatch at {min(differ, key=cl.cluster_key)}"
+    return True, f"clique search and subset scan both give {len(naive)}"
+
+
+def _cluster_poset(v):
+    q, cp = v.q, v.poset
+    if isinstance(cp, str):
+        return False, cp
+    detail = f"axioms hold on {len(cp.elements)} clusters"
+    if not q.is_dynkin:
+        return True, detail
+    # Top = projectives and bottom = negatives hold only for the full set.
+    if not cp.complete:
+        return True, f"{detail}; top and bottom not checked under height bound {v.args.bound}"
+    if cp.top is None or cp.bottom is None:
+        return False, "missing top or bottom"
+    projs = tuple(sorted(projective_dimension_vectors(q), key=cl.var_key))
+    if cl.split_variables(cp.elements[cp.top])[0] != projs:
+        return False, "top cluster is not the projectives"
+    if cl.split_variables(cp.elements[cp.bottom])[0]:
+        return False, "bottom cluster has a positive member"
+    return True, f"{detail}; top = projectives, bottom = negatives"
+
+
+def _stilt_match(v):
+    if not v.q.is_dynkin or isinstance(v.poset, str):
+        return None
+    sp = reps.stilt_poset(v.table, seed=v.args.seed, budget=v.args.probe_budget)
+    same, witness = reps.compare_posets(v.poset, sp)
+    detail = "generation order matches the cluster order" if same else f"mismatch at {witness}"
+    return same, detail
+
+
+def _precluster_extension(v):
+    # Every precluster extends to a cluster exactly when no maximal clique
+    # of the full graph is short; a bounded precluster may need a taller
+    # partner.  The count is the table's cliques, the empty one included.
+    q, table = v.q, v.table
+    if not q.is_dynkin or isinstance(v.poset, str):
+        return None
+    full = table if table.complete else cl.cluster_table(q)
+    count, short = 0, None
+    for c, maximal in cl._cliques(full.compat):
+        count += 1
+        if short is None and maximal and len(c) < q.n:
+            short = c
+    if full is not table:
+        count = sum(1 for _ in cl._cliques(table.compat))
+    if short is not None:
+        return False, f"no completion for {tuple(full.variables[i] for i in short)}"
+    return True, f"all {count} preclusters extend to clusters"
+
+
+# verify's checks in output order: name -> check(inputs), which returns
+# (ok, detail) with ok None for SKIP, or None when the check does not apply.
+_CHECKS = {
+    "e-invariant-formulas": _e_invariant_formulas,
+    "roots-closure": _roots_closure,
+    "e-closed-form": _e_closed_form,
+    "cluster-count": _cluster_count,
+    "cluster-poset": _cluster_poset,
+    "stilt-match": _stilt_match,
+    "precluster-extension": _precluster_extension,
+}
 
 
 def cmd_verify(args):
-    q = fileio.parse_quiver_file(args.quiver)
-    checks = _verification_checks(q, args)
+    inputs = _VerifyInputs(q=fileio.parse_quiver_file(args.quiver), args=args)
+    checks = [
+        (name, *result) for name, check in _CHECKS.items() if (result := check(inputs))
+    ]
     all_ok = all(ok is not False for _, ok, _ in checks)
     code = 0 if all_ok else 1
     if args.format == "json":
@@ -420,8 +443,7 @@ def cmd_verify(args):
             if ok is None:
                 entry["skipped"] = True
             entries.append(entry)
-        payload = {"meta": _meta(args), "ok": all_ok, "checks": entries}
-        return output.emit_json(payload), code
+        return {"ok": all_ok, "checks": entries}, code
     status = {True: "PASS", False: "FAIL", None: "SKIP"}
     lines = [f"{status[ok]} {name}: {detail}" for name, ok, detail in checks]
     lines.append("ok" if all_ok else "FAILED")
@@ -553,7 +575,10 @@ def main(argv=None) -> int:
     if args is None:
         args = build_parser().parse_args(argv)
     try:
-        text, code = _COMMANDS[args.command][0](args)
+        out, code = _COMMANDS[args.command][0](args)
+        # A handler returns its text, or its JSON payload without the meta.
+        if isinstance(out, dict):
+            out = output.emit_json({"meta": _meta(args), **out})
     except (ParseError, UnsupportedFormat) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
@@ -569,7 +594,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error[internal]: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(text)
+    sys.stdout.write(out)
     return code
 
 

@@ -1,5 +1,6 @@
 """Text formats, JSON emission, and the command line front end."""
 
+import argparse
 import io
 import json
 import random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schur_clusters import Quiver, build_poset, cli, einv, errors, negative_simple
+from schur_clusters import Quiver, build_poset, cli, einv, errors, negative_simple, reps
 from schur_clusters import clusters as cl
 from schur_clusters.cli import main
 from schur_clusters.fileio import (
@@ -31,6 +32,7 @@ from schur_clusters.output import (
     variable_from_json,
     variable_to_json,
 )
+from schur_clusters.quiver import RootSet
 from schur_clusters.reps import make_representation
 
 from oracles import e_sweep_oracle, random_poset_matrix
@@ -121,6 +123,106 @@ class TestOutputHelpers:
     def test_emit_dot_escapes_quotes(self):
         out = emit_dot(['say "hi"'], [])
         assert '\\"hi\\"' in out
+
+
+# verify's lines on A2 and on Kronecker under --bound 3, by check name.
+_A2_VERIFY = {
+    "e-invariant-formulas": "PASS e-invariant-formulas: 81 pairs in box 2",
+    "roots-closure": "PASS roots-closure: 3 roots match the unit Tits locus",
+    "e-closed-form": "PASS e-closed-form: max(0, -<a, b>) equals e(a, b) on 9 root pairs",
+    "cluster-count": "PASS cluster-count: clique search and subset scan both give 5",
+    "cluster-poset": "PASS cluster-poset: axioms hold on 5 clusters; "
+    "top = projectives, bottom = negatives",
+    "stilt-match": "PASS stilt-match: generation order matches the cluster order",
+    "precluster-extension": "PASS precluster-extension: all 11 preclusters extend to clusters",
+}
+_KRON_B3_VERIFY = {
+    "e-invariant-formulas": "PASS e-invariant-formulas: 81 pairs in box 2",
+    "roots-closure": "PASS roots-closure: 4 bounded roots all have Tits form 1",
+    "cluster-count": "PASS cluster-count: clique search and subset scan both give 5",
+    "cluster-poset": "PASS cluster-poset: axioms hold on 5 clusters",
+}
+
+
+def _one_e_off(mp):
+    e = einv.e_invariant
+    mp.setattr(einv, "e_invariant", lambda q, x, y: e(q, x, y) + ((x, y) == ((0, 1), (1, 1))))
+
+
+def _poset_not_antisymmetric(mp):
+    def refuse(table):
+        raise errors.NotAntisymmetric(0, 1)
+
+    mp.setattr(cl, "cluster_poset", refuse)
+
+
+def _simples_as_projectives(mp):
+    mp.setattr(cli, "projective_dimension_vectors", lambda q: [(1, 0), (0, 1)])
+
+
+def _orders_differ(mp):
+    mp.setattr(reps, "compare_posets", lambda p1, p2: (False, (0, 1)))
+
+
+def _scan_drops_first_and_last_clusters(mp):
+    scan = cl.subset_scan
+    mp.setattr(cl, "subset_scan", lambda q, variables: scan(q, variables)[1:-1])
+
+
+def _highest_root_dropped(mp):
+    roots = cli.positive_real_roots
+
+    def dropped(q, bound=None):
+        rs = roots(q, bound)
+        return RootSet(rs.roots[:-1], rs.height_bound, rs.complete)
+
+    mp.setattr(cli, "positive_real_roots", dropped)
+
+
+def _tits_form_two(mp):
+    mp.setattr(cli, "tits_form", lambda q, x: 2)
+
+
+_VERIFY_FAILURES = {
+    "e-closed-form": (
+        "a2", [], _one_e_off, _A2_VERIFY,
+        {"e-closed-form": "FAIL e-closed-form: mismatch at ((0, 1), (1, 1))"},
+    ),
+    # The two checks that read the poset are left out, as on any poset error.
+    "cluster-poset-axioms": (
+        "a2", [], _poset_not_antisymmetric, _A2_VERIFY,
+        {
+            "cluster-poset": "FAIL cluster-poset: elements 0 and 1 compare both ways",
+            "stilt-match": None,
+            "precluster-extension": None,
+        },
+    ),
+    "cluster-poset-top": (
+        "a2", [], _simples_as_projectives, _A2_VERIFY,
+        {"cluster-poset": "FAIL cluster-poset: top cluster is not the projectives"},
+    ),
+    "stilt-match": (
+        "a2", [], _orders_differ, _A2_VERIFY,
+        {"stilt-match": "FAIL stilt-match: mismatch at (0, 1)"},
+    ),
+    "cluster-count": (
+        "a2", [], _scan_drops_first_and_last_clusters, _A2_VERIFY,
+        {"cluster-count": "FAIL cluster-count: mismatch at ((-1, 0), (0, -1))"},
+    ),
+    # e-closed-form reads the same root set, so it runs on 2 x 2 pairs.
+    "roots-closure-dynkin": (
+        "a2", [], _highest_root_dropped, _A2_VERIFY,
+        {
+            "roots-closure": "FAIL roots-closure: mismatch at (1, 1)",
+            "e-closed-form": "PASS e-closed-form: max(0, -<a, b>) equals e(a, b) "
+            "on 4 root pairs",
+        },
+    ),
+    "roots-closure-bounded": (
+        "kronecker", ["--bound", "3"], _tits_form_two, _KRON_B3_VERIFY,
+        {"roots-closure": "FAIL roots-closure: tits form of (0, 1) is 2, not 1"},
+    ),
+}
 
 
 @pytest.fixture
@@ -500,6 +602,24 @@ class TestCli:
         assert "PASS cluster-count: clique search and subset scan both give 34" in lines
         assert "PASS precluster-extension: all 179 preclusters extend to clusters" in lines
         assert lines[-1] == "ok"
+
+    def test_roots_closure_climbs_to_every_e8_root(self):
+        # E8 has n * h / 2 = 8 * 30 / 2 positive roots (h the Coxeter number).
+        e8 = Quiver(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)])
+        inputs = cli._VerifyInputs(q=e8, args=argparse.Namespace(bound=None))
+        assert cli._roots_closure(inputs) == (True, "120 roots match the unit Tits locus")
+
+    @pytest.mark.parametrize("case", sorted(_VERIFY_FAILURES))
+    def test_verify_fail_line_names_its_witness(
+        self, capsys, monkeypatch, quiver_file, request, case
+    ):
+        name, extra, patch, lines, changed = _VERIFY_FAILURES[case]
+        patch(monkeypatch)
+        path = quiver_file(f"{name}.quiver", request.getfixturevalue(name))
+        assert main(["verify", "--quiver", path] + extra) == 1
+        out = [changed.get(check, line) for check, line in lines.items()]
+        expected = "\n".join([line for line in out if line is not None] + ["FAILED"])
+        assert capsys.readouterr() == (expected + "\n", "")
 
     def test_internal_error_exits_3_on_one_line(self, capsys, monkeypatch):
         def broken(args):

@@ -2,14 +2,16 @@
 
 The fixtures under ``tests/golden/`` hold the stdout of the invocations
 below: criterion 8's determinism set plus the all-preclusters path on D4,
-the incomplete (height-bounded) poset on the Kronecker quiver and the A3
-``stilt`` DOT labels.  Outputs too large to keep as files (E6, E8, A5
+the incomplete (height-bounded) poset on the Kronecker quiver, the A3
+``stilt`` DOT labels, and ``verify`` off Dynkin (Kronecker, bound 5) and
+on a height-bounded Dynkin quiver (D4, bound 3, box 0).  Outputs too large to keep as files (E6, E8, A5
 DOT, D4, E6 and E7 ``stilt``, E6 ``verify``) and affine A3 ``schur`` are
 pinned by the sha256 of their stdout in ``digests.json``; E7 ``stilt``
 and E6 ``verify`` run only under ``SCHUR_CLUSTERS_LARGE=1``.
 ``REFUSALS`` pins the one stderr line and the exit status of refused
 calls, among them ``realize`` on a real root of affine A3 that is not a
-Schur root.  After an intended output change,
+Schur root, E8 ``verify --box 0`` (a root box over the cell limit) and
+Kronecker ``verify`` with no height bound.  After an intended output change,
 regenerate the files and digests with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -56,6 +58,10 @@ INVOCATIONS = {
         "stilt", "--quiver", _in("a3.quiver"), "--seed", "11", "--format", "dot"
     ],
     "verify-a2.json": ["verify", "--quiver", _in("a2.quiver"), "--format", "json"],
+    "verify-kron-b5.txt": ["verify", "--quiver", _in("kron.quiver"), "--bound", "5"],
+    "verify-d4-b3-box0.txt": [
+        "verify", "--quiver", _in("d4.quiver"), "--bound", "3", "--box", "0"
+    ],
     "torsion-count-a2.txt": [
         "torsion-count", "--quiver", _in("a2.quiver"), "--poset", _in("p.poset")
     ],
@@ -99,6 +105,20 @@ REFUSALS = {
         ["realize", "--quiver", _in("atilde3.quiver"), "--vars", ATILDE3_VARS],
         "error[not-a-precluster]: not a precluster: (1, 1, 2, 1) is not a Schur "
         "root: <(0, 0, 1, 0), (1, 1, 2, 1)> - <(1, 1, 2, 1), (0, 0, 1, 0)> <= 0",
+        1,
+    ),
+    # E8: e-closed-form reaches a root whose box is over the limit.  The
+    # cluster poset, built only when a check asks for it, is never built.
+    "verify-e8-box0": (
+        ["verify", "--quiver", _in("e8.quiver"), "--box", "0"],
+        "error[limit-exceeded]: the box below [1, 2, 4, 3, 3, 2, 1, 2] has 8640 "
+        "cells, over the limit of 8192",
+        1,
+    ),
+    "verify-kron": (
+        ["verify", "--quiver", _in("kron.quiver")],
+        "error[bound-required]: non-Dynkin quivers have infinitely many real "
+        "roots; pass a height bound",
         1,
     ),
 }
