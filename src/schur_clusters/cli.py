@@ -42,6 +42,8 @@ from .errors import (
     UnsupportedFormat,
 )
 from .quiver import (
+    coxeter_number,
+    dynkin_components,
     euler_form,
     positive_real_roots,
     projective_dimension_vectors,
@@ -236,7 +238,7 @@ def _poset_payload(args, p, table, records):
         "complete": p.complete,
         "height_bound": p.height_bound,
         "elements": output.IndexedGroups(records, table.clusters),
-        "hasse": [list(e) for e in p.hasse],
+        "hasse": p.hasse,
         "top": p.top,
         "bottom": p.bottom,
     }, 0
@@ -337,6 +339,15 @@ def _roots_closure(v):
                 ladder.append(y)
     if differ := found.symmetric_difference(roots):
         return False, f"mismatch at {min(differ, key=root_key)}"
+    # A root's support is connected, so it lies on one component, which
+    # holds k h / 2 of them: k vertices, h the Coxeter number of its type.
+    for kind, vertices in dynkin_components(q):
+        count = sum(1 for r in roots if any(r[v - 1] for v in vertices))
+        expected = len(vertices) * coxeter_number(kind) // 2
+        if count != expected:
+            return False, (
+                f"{count} roots on the {kind} component {vertices}, not n h / 2 = {expected}"
+            )
     return True, f"{len(roots)} roots match the unit Tits locus"
 
 

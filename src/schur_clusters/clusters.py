@@ -282,10 +282,11 @@ class ClusterTable(Record, eq=False):
 
     @cached_property
     def members(self) -> np.ndarray:
-        """M[c, v]: cluster c holds variable v."""
+        """M[c, v]: cluster c holds variable v, scattered from the
+        (clusters x n) index array of ``clusters``."""
+        index = np.array(self.clusters, dtype=np.intp).reshape(-1, self.quiver.n)
         m = np.zeros((len(self.clusters), len(self.variables)), dtype=bool)
-        for row, c in zip(m, self.clusters):
-            row[list(c)] = True
+        np.put_along_axis(m, index, True, axis=1)
         m.setflags(write=False)
         return m
 
@@ -424,20 +425,37 @@ def cluster_leq(q: Quiver, s, t) -> bool:
     return cluster_geq(q, t, s)
 
 
-def cluster_poset(table: ClusterTable) -> FinitePoset:
-    """The clusters of ``table`` under the cluster order, with verified axioms.
+def _cluster_geq(table: ClusterTable) -> np.ndarray:
+    """geq[s, t]: cluster s >= cluster t, the order of ``cluster_geq`` for
+    every pair at once.
 
-    The order of ``cluster_geq`` for every pair at once: with ``nz[a, b]``
-    saying e(a, b) != 0 on positive variables (and false elsewhere), M the
-    membership matrix of clusters in the variables and N its negative
-    columns, s >= t exactly when (M nz M^T)[s, t] and (N (not N)^T)[s, t]
-    are both false.
+    One row over the clusters per variable a, packed into bits: for a
+    positive root a the clusters t holding some b with e(a, b) != 0
+    (``nz`` M^T, M the ``members`` matrix), for -e_i the clusters without
+    -e_i.  Cluster s is above
+    t exactly when no member of s has t in its row, so the rows of the
+    order are the complements of n ORs of member rows, gathered by the
+    cluster index array, and they are unpacked once.  The index array is
+    read back off M, whose row c holds cluster c's n indices in increasing
+    order; it and the packed arrays die with this call, before the
+    caller's dense work.
     """
-    members = table.members
-    neg = members[:, table.negative]
-    geq = ~(members @ table.nz @ members.T) & ~(neg @ ~neg.T)
+    index = np.nonzero(table.members)[1].reshape(len(table.clusters), -1)
+    hit = table.nz @ table.members.T  # the rows of -e_i are set below
+    hit[table.negative] = ~table.members[:, table.negative].T
+    rows = np.packbits(hit, axis=1, bitorder="little")
+    below = rows[index[:, 0]]
+    for k in range(1, index.shape[1]):
+        below |= rows[index[:, k]]
+    np.invert(below, out=below)
+    return np.unpackbits(below, axis=1, count=len(index), bitorder="little").view(bool)
+
+
+def cluster_poset(table: ClusterTable) -> FinitePoset:
+    """The clusters of ``table`` under the cluster order (``_cluster_geq``),
+    with verified axioms."""
     items = table.enumeration(table.clusters).items
-    return assemble_poset(items, geq.T, table.complete, table.height_bound)
+    return assemble_poset(items, _cluster_geq(table).T, table.complete, table.height_bound)
 
 
 def as_finite_poset(cp: FinitePoset) -> FinitePoset:

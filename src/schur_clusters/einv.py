@@ -307,6 +307,8 @@ def _e(memo: _Memo, x: DimVec, y: DimVec) -> int:
         memo.hits += 1
         return cached
     memo.misses += 1
+    if x not in memo.sets and y not in memo.sets:
+        _fill_join(memo, (x, y))  # one fill for both, where it is no larger
     xe = _summands(memo, x)
     _summands(memo, y)  # stores and checks S(y)
     diff = np.array(y, dtype=np.int64) - memo.sets[y]
@@ -445,6 +447,8 @@ def e_invariant_alt(q: Quiver, x, y) -> tuple[int, int]:
     x = q.check_dimvec(x)
     y = q.check_dimvec(y)
     memo = _memo_for(q)
+    if x not in memo.sets and y not in memo.sets:
+        _fill_join(memo, (x, y))
     # Store and check S(x) and S(y); both forms read the sets themselves.
     _summands(memo, x)
     _summands(memo, y)

@@ -5,21 +5,26 @@ repeated run with the same inputs produces byte-identical output.
 
 ``emit_json`` writes exactly what ``json.dumps(payload, indent=2,
 sort_keys=True)`` writes, plus a newline, rendering every value where it
-occurs; there is no memo.
+occurs; there is no memo.  A list of plain ints (``type(v) is int``, so
+never a bool) fills a ``%d`` template cached per (length, depth), and a
+list of equal-length int lists, such as the Hasse pairs or roots, fills
+one such template per item, all in one ``%`` call.
 
 The ``clusters``, ``preclusters``, ``poset`` and ``stilt`` payloads hold
 their cluster lists as an ``IndexedGroups``: index tuples into the table's
 variables and one JSON record per variable (``variable_groups`` builds the
 plain ones; ``stilt``'s also carry the module's dims).  ``emit_json``
-renders each record once and each cluster as the join of those texts over
-its indices: the bytes of the list of records, without building the
-variable tuples or their record lists.
+renders each record once, indented for its depth, and each cluster as one
+join of those texts over its indices: the bytes of the list of records,
+without building the variable tuples or their record lists.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .clusters import neg_vertex
@@ -113,20 +118,42 @@ def emit_json(payload) -> str:
             if not obj:
                 return "[]"
             if all(type(v) is int for v in obj):
-                items = map(int.__repr__, obj)
-            else:
-                items = (render(v, depth + 1) for v in obj)
-            return _wrap("[", items, "]", depth)
+                return _int_template(len(obj), depth) % tuple(obj)
+            if _int_rows(obj):
+                rows = [_int_template(len(obj[0]), depth + 1)] * len(obj)
+                return _wrap("[", rows, "]", depth) % tuple(chain.from_iterable(obj))
+            return _wrap("[", (render(v, depth + 1) for v in obj), "]", depth)
         if isinstance(obj, IndexedGroups):
-            texts = [render(r, depth + 2) for r in obj.records]
-            lists = [
-                _wrap("[", map(texts.__getitem__, g), "]", depth + 1) if g else "[]"
+            if not obj.groups:
+                return "[]"
+            pad = "\n" + "  " * (depth + 2)
+            texts = [pad + render(r, depth + 2) for r in obj.records]
+            close = "\n" + "  " * (depth + 1) + "]"
+            lists = (
+                "[" + ",".join(map(texts.__getitem__, g)) + close if g else "[]"
                 for g in obj.groups
-            ]
-            return _wrap("[", lists, "]", depth) if lists else "[]"
+            )
+            return _wrap("[", lists, "]", depth)
         return json.dumps(obj)
 
     return render(payload, 0) + "\n"
+
+
+def _int_rows(obj) -> bool:
+    """Is ``obj`` a list of lists (or tuples) of one nonzero length, every
+    entry a plain int?"""
+    if not {type(v) for v in obj} <= {list, tuple} or len(set(map(len, obj))) != 1:
+        return False
+    return bool(obj[0]) and {type(v) for v in chain.from_iterable(obj)} == {int}
+
+
+@lru_cache(maxsize=256)
+def _int_template(length: int, depth: int) -> str:
+    """A ``%`` template that renders ``length`` plain ints as a JSON list
+    at ``depth``, as ``json.dumps`` with indent 2 does: ``%d`` writes an
+    int as its ``repr``.  ``emit_json`` never hands it a bool, which
+    ``json`` writes as true or false."""
+    return _wrap("[", ["%d"] * length, "]", depth)
 
 
 def _wrap(open_: str, items, close: str, depth: int) -> str:

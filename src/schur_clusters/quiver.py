@@ -333,6 +333,70 @@ def positive_real_roots(q: Quiver, bound: int | None = None) -> RootSet:
     return RootSet(tuple(roots), None, dynkin)
 
 
+def dynkin_components(q: Quiver) -> tuple[tuple[str, tuple[int, ...]], ...] | None:
+    """The connected components of the underlying graph of ``q`` with their
+    Dynkin types, as (type, vertices) pairs in order of least vertex; None
+    when some component is not a simply-laced Dynkin diagram.
+
+    A component on k vertices is "A<k>" when it is a path, and a tree with
+    one vertex of degree 3 whose three arms hold (1, 1, k - 3), (1, 2, 2),
+    (1, 2, 3) or (1, 2, 4) vertices is "D<k>", "E6", "E7" or "E8".  Anything
+    else (a multiple edge, a cycle, a vertex of degree 4, two branch
+    points or longer arms) is not Dynkin.
+    """
+    edges = {frozenset(a) for a in q.arrows}
+    if len(edges) != len(q.arrows):
+        return None  # a multiple edge
+    adj = {v: [] for v in range(1, q.n + 1)}
+    for s, t in q.arrows:
+        adj[s].append(t)
+        adj[t].append(s)
+    found, seen = [], set()
+    for start in adj:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        for v in comp:  # grows while it is read
+            fresh = [w for w in adj[v] if w not in seen]
+            seen.update(fresh)
+            comp.extend(fresh)
+        k = len(comp)
+        if sum(len(adj[v]) for v in comp) != 2 * (k - 1):
+            return None  # not a tree
+        branch = [v for v in comp if len(adj[v]) > 2]
+        if not branch:
+            found.append((f"A{k}", tuple(sorted(comp))))
+            continue
+        if len(branch) > 1 or len(adj[branch[0]]) > 3:
+            return None
+        arms = []
+        for v in adj[branch[0]]:
+            prev, length = branch[0], 1
+            while len(adj[v]) == 2:
+                prev, v = v, next(w for w in adj[v] if w != prev)
+                length += 1
+            arms.append(length)
+        arms.sort()
+        if arms[:2] == [1, 1]:
+            kind = f"D{k}"
+        elif arms[:2] == [1, 2] and arms[2] <= 4:
+            kind = f"E{k}"
+        else:
+            return None
+        found.append((kind, tuple(sorted(comp))))
+    return tuple(found)
+
+
+def coxeter_number(kind: str) -> int:
+    """h of a Dynkin type from ``dynkin_components``: k + 1 for A<k>,
+    2k - 2 for D<k>, 12, 18 and 30 for E6, E7 and E8.  A root system of rank
+    k has k h / 2 positive roots (Humphreys, Reflection Groups and Coxeter
+    Groups, 3.18)."""
+    k = int(kind[1:])
+    return {"A": k + 1, "D": 2 * k - 2, "E": {6: 12, 7: 18, 8: 30}.get(k)}[kind[0]]
+
+
 def projective_dimension_vectors(q: Quiver) -> tuple[DimVec, ...]:
     """Dimension vectors of the indecomposable projectives, one per vertex.
 

@@ -222,6 +222,17 @@ def containing(table, groups) -> np.ndarray:
     return ~(rows @ ~table.members.T)
 
 
+def dense_cluster_order(table) -> np.ndarray:
+    """leq[t, s]: cluster t lies below cluster s, from two dense bool
+    products over the membership matrix M and its negative columns N:
+    s >= t exactly when (M nz M^T)[s, t] and (N (not N)^T)[s, t] are both
+    false.  The reference for ``cluster_poset``'s packed member rows."""
+    members = table.members
+    neg = members[:, table.negative]
+    geq = ~(members @ table.nz @ members.T) & ~(neg @ ~neg.T)
+    return geq.T
+
+
 def rref_oracle(rows, ncols):
     """Reduced row echelon form by textbook Gauss–Jordan over ``Fraction``.
 

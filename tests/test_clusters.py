@@ -41,7 +41,7 @@ from schur_clusters.clusters import (
 from schur_clusters.fileio import emit_quiver_text
 from schur_clusters.posets import bool_square
 
-from oracles import containing, cover_pairs, random_poset_matrix
+from oracles import containing, cover_pairs, dense_cluster_order, random_poset_matrix
 
 E7 = Quiver(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)])
 E8 = Quiver(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)])
@@ -586,20 +586,41 @@ class TestClusterTable:
 
 def _dynkin_orientation(kind: str, n: int, flips) -> Quiver:
     """A_n as the path 1-...-n, D_n as the path 1-...-(n-1) plus n-2 -- n,
-    with the edges whose flip is set pointing backwards."""
-    edges = [(i, i + 1) for i in range(1, n - (kind == "D"))]
+    E_n as the path 1-...-(n-1) plus 3 -- n, with the edges whose flip is
+    set pointing backwards."""
+    edges = [(i, i + 1) for i in range(1, n - (kind != "A"))]
     if kind == "D":
         edges.append((n - 2, n))
+    if kind == "E":
+        edges.append((3, n))
     return Quiver(n, [(t, s) if f else (s, t) for (s, t), f in zip(edges, flips)])
 
 
-_ORIENTATIONS = st.sampled_from(
-    [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]
-).flatmap(
-    lambda kn: st.tuples(
-        st.just(kn), st.lists(st.booleans(), min_size=kn[1] - 1, max_size=kn[1] - 1)
+def _orientations(kinds):
+    """A Dynkin type from ``kinds`` with a random orientation of its edges."""
+    return st.sampled_from(kinds).flatmap(
+        lambda kn: st.tuples(
+            st.just(kn), st.lists(st.booleans(), min_size=kn[1] - 1, max_size=kn[1] - 1)
+        )
     )
-)
+
+
+_ORIENTATIONS = _orientations([("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)])
+
+# Every Dynkin type up to rank 6, and E7 as a stretch target.
+_ORDER_TYPES = [("A", n) for n in range(1, 7)] + [("D", 4), ("D", 5), ("D", 6), ("E", 6)]
+if os.environ.get("SCHUR_CLUSTERS_LARGE"):
+    _ORDER_TYPES.append(("E", 7))
+
+
+@given(_orientations(_ORDER_TYPES), st.one_of(st.none(), st.integers(1, 6)))
+@settings(max_examples=30, deadline=None)
+def test_cluster_order_matches_the_dense_products(case, bound):
+    (kind, n), flips = case
+    table = cluster_table(_dynkin_orientation(kind, n, flips), bound)
+    leq = cluster_poset(table).leq
+    assert leq.dtype == bool
+    assert np.array_equal(leq, dense_cluster_order(table))
 
 
 @given(_ORIENTATIONS)

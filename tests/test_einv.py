@@ -439,6 +439,44 @@ class TestLevelFill:
         _assert_fill_matches_oracle(Quiver(n, arrows), top)
 
 
+class TestPairFill:
+    """A pair query fills the box of the pair's join once, where
+    ``_fill_join`` allows, rather than one box per argument."""
+
+    @pytest.mark.parametrize("query", [e_invariant, e_invariant_alt])
+    def test_incomparable_pair_fills_its_join(self, monkeypatch, wild, query):
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        tops = []
+        fill = einv._fill
+        monkeypatch.setattr(einv, "_fill", lambda memo, top: tops.append(top) or fill(memo, top))
+        x, y = (5, 5, 3), (6, 4, 4)
+        e = PairRecursionOracle(wild.n, wild.arrows).e(x, y)
+        assert query(wild, x, y) == (e if query is e_invariant else (e, e))
+        # One box of 7 * 6 * 5 = 210 cells, not 144 + 175 in two fills.
+        assert tops == [(6, 5, 4)]
+        assert e_cache_stats(wild)["summand_sets"] == 210
+
+    def test_stored_argument_leaves_one_box_to_fill(self, monkeypatch, wild):
+        # With S(x) stored, y's own box of 175 cells is filled, not the
+        # join's 210.
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        generic_summands(wild, (5, 5, 3))
+        e_invariant(wild, (5, 5, 3), (6, 4, 4))
+        assert e_cache_stats(wild)["summand_sets"] == 144 + 175 - 120
+
+    def test_comparable_pair_fills_the_larger_box(self, monkeypatch, wild):
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        e_invariant(wild, (1, 2, 0), (3, 3, 1))
+        assert e_cache_stats(wild)["summand_sets"] == 32
+
+    def test_wide_join_fills_each_box(self, monkeypatch, wild):
+        # The join (4, 3, 0) has 20 cells, more than the two boxes' 5 + 4.
+        monkeypatch.setattr(einv, "_MEMOS", {})
+        assert e_invariant_alt(wild, (4, 0, 0), (0, 3, 0)) == (24, 24)
+        assert e_invariant(wild, (4, 0, 0), (0, 3, 0)) == 24
+        assert e_cache_stats(wild)["summand_sets"] == 8
+
+
 def _spy_allocations(monkeypatch) -> list:
     """Record every np.zeros and np.empty call from now on."""
     calls = []

@@ -32,7 +32,7 @@ from schur_clusters.output import (
     variable_from_json,
     variable_to_json,
 )
-from schur_clusters.quiver import RootSet
+from schur_clusters.quiver import RootSet, coxeter_number
 from schur_clusters.reps import make_representation
 
 from oracles import e_sweep_oracle, random_poset_matrix
@@ -183,6 +183,10 @@ def _tits_form_two(mp):
     mp.setattr(cli, "tits_form", lambda q, x: 2)
 
 
+def _coxeter_number_off(mp):
+    mp.setattr(cli, "coxeter_number", lambda kind: 4)
+
+
 _VERIFY_FAILURES = {
     "e-closed-form": (
         "a2", [], _one_e_off, _A2_VERIFY,
@@ -217,6 +221,12 @@ _VERIFY_FAILURES = {
             "e-closed-form": "PASS e-closed-form: max(0, -<a, b>) equals e(a, b) "
             "on 4 root pairs",
         },
+    ),
+    # A2 has 2 * 3 / 2 positive roots; a wrong h names the component.
+    "roots-closure-count": (
+        "a2", [], _coxeter_number_off, _A2_VERIFY,
+        {"roots-closure": "FAIL roots-closure: 3 roots on the A2 component (1, 2), "
+         "not n h / 2 = 4"},
     ),
     "roots-closure-bounded": (
         "kronecker", ["--bound", "3"], _tits_form_two, _KRON_B3_VERIFY,
@@ -608,6 +618,18 @@ class TestCli:
         e8 = Quiver(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)])
         inputs = cli._VerifyInputs(q=e8, args=argparse.Namespace(bound=None))
         assert cli._roots_closure(inputs) == (True, "120 roots match the unit Tits locus")
+
+    def test_roots_closure_counts_each_component(self, monkeypatch):
+        # A2 + A1 + D4: 3 + 1 + 12 roots, one component at a time.
+        q = Quiver(7, [(2, 1), (4, 5), (4, 6), (4, 7)])
+        inputs = cli._VerifyInputs(q=q, args=argparse.Namespace(bound=None))
+        assert cli._roots_closure(inputs) == (True, "16 roots match the unit Tits locus")
+        # h(D4) = 6 read as 5: only that component is named.
+        wrong = {"D4": 5}
+        monkeypatch.setattr(cli, "coxeter_number", lambda k: wrong.get(k) or coxeter_number(k))
+        assert cli._roots_closure(inputs) == (
+            False, "12 roots on the D4 component (4, 5, 6, 7), not n h / 2 = 10"
+        )
 
     @pytest.mark.parametrize("case", sorted(_VERIFY_FAILURES))
     def test_verify_fail_line_names_its_witness(

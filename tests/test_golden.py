@@ -5,9 +5,11 @@ below: criterion 8's determinism set plus the all-preclusters path on D4,
 the incomplete (height-bounded) poset on the Kronecker quiver, the A3
 ``stilt`` DOT labels, and ``verify`` off Dynkin (Kronecker, bound 5) and
 on a height-bounded Dynkin quiver (D4, bound 3, box 0).  Outputs too large to keep as files (E6, E8, A5
-DOT, D4, E6 and E7 ``stilt``, E6 ``verify``) and affine A3 ``schur`` are
-pinned by the sha256 of their stdout in ``digests.json``; E7 ``stilt``
-and E6 ``verify`` run only under ``SCHUR_CLUSTERS_LARGE=1``.
+DOT, D4, E6 and E7 ``stilt``, E6 ``verify``, E7 ``poset`` and E7
+``torsion-count`` on a 2-chain) and affine A3 ``schur`` are pinned by
+the sha256 of their stdout in ``digests.json``; E7 ``stilt``, ``poset``
+and ``torsion-count`` and E6 ``verify`` run only under
+``SCHUR_CLUSTERS_LARGE=1``.
 ``REFUSALS`` pins the one stderr line and the exit status of refused
 calls, among them ``realize`` on a real root of affine A3 that is not a
 Schur root, E8 ``verify --box 0`` (a root box over the cell limit) and
@@ -79,6 +81,11 @@ DIGEST_INVOCATIONS = {
     "stilt-e6-s5.json": ["stilt", "--quiver", _in("e6.quiver"), "--seed", "5"],
     "stilt-e7-s5.json": ["stilt", "--quiver", _in("e7.quiver"), "--seed", "5"],
     "verify-e6.txt": ["verify", "--quiver", _in("e6.quiver")],
+    "poset-e7.json": ["poset", "--quiver", _in("e7.quiver"), "--allow-large"],
+    # The chain(2) count is the number of order pairs: 1571276 on E7.
+    "torsion-count-e7-chain2.txt": [
+        "torsion-count", "--quiver", _in("e7.quiver"), "--poset", _in("chain2.poset")
+    ],
     # Affine A3: 20 of its 28 real roots up to height 9 are Schur roots.
     "schur-atilde3-b9.json": [
         "schur", "--quiver", _in("atilde3.quiver"), "--bound", "9"
@@ -122,7 +129,12 @@ REFUSALS = {
         1,
     ),
 }
-LARGE_DIGESTS = {"stilt-e7-s5.json", "verify-e6.txt"}
+LARGE_DIGESTS = {
+    "stilt-e7-s5.json",
+    "verify-e6.txt",
+    "poset-e7.json",
+    "torsion-count-e7-chain2.txt",
+}
 DIGESTS = GOLDEN / "digests.json"
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schur_clusters.output import emit_json, variable_groups, variable_to_json
+from schur_clusters.output import IndexedGroups, emit_json, variable_groups, variable_to_json
 
 
 def oracle(payload) -> str:
@@ -93,6 +93,54 @@ class TestEmitJson:
     def test_non_str_key_raises(self, key):
         with pytest.raises(TypeError):
             emit_json({"ok": {key: 1}})
+
+
+def _nest(value, depth: int):
+    """``value`` held ``depth`` levels down, alternately in a dict and a list."""
+    for k in range(depth):
+        value = {"k": value} if k % 2 else [value, 0]
+    return value
+
+
+class TestIntTemplates:
+    """The ``%d`` templates of int lists and rows of int lists."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5])
+    @pytest.mark.parametrize("length", [1, 2, 3, 8, 40])
+    def test_int_lists(self, length, depth):
+        ints = [(-7) ** k for k in range(length)]
+        for payload in (ints, [ints, ints], [ints, [2**70, -1]], tuple(ints)):
+            payload = _nest(payload, depth)
+            assert emit_json(payload) == oracle(payload)
+
+    @pytest.mark.parametrize("odd", [True, False, None, 1.0, "1"])
+    def test_non_ints_in_int_lists(self, odd):
+        for payload in ([1, odd, 3], [[1, 2], [odd, 3]], [[1, 2], (3, odd)], [odd]):
+            assert emit_json(payload) == oracle(payload)
+        assert emit_json([1, True]) == "[\n  1,\n  true\n]\n"
+
+    def test_rows_of_another_length(self):
+        for payload in (
+            [[0, 1], [1, 2], [2, 3, 4]],
+            [[0, 1], [1], [2, 3]],
+            [[0, 1], [], [2, 3]],
+            [(0, 1), [1, 2], "x"],
+            [[0, 1], [1, 2], {"a": 1}],
+        ):
+            assert emit_json(payload) == oracle(payload)
+
+    def test_empty_lists(self):
+        for payload in ([[]], [[], []], [[], [1]], {"a": [[], ()]}, [[[]]]):
+            assert emit_json(payload) == oracle(payload)
+
+    def test_indexed_groups_with_empty_groups(self):
+        records = [{"dim": [1, 0]}, {"dim": [0, 1]}]
+        for groups in ((), ((),), ((), (0, 1), ()), ((1,), (), (0,))):
+            lists = [[records[i] for i in g] for g in groups]
+            for depth in (0, 1, 3):
+                payload = _nest(IndexedGroups(records, groups), depth)
+                assert emit_json(payload) == oracle(_nest(lists, depth))
+        assert emit_json(IndexedGroups([], ((),))) == oracle([[]])
 
 
 variable_lists = st.lists(

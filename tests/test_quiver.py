@@ -27,7 +27,7 @@ from schur_clusters import (
     tits_form,
     validate_quiver,
 )
-from schur_clusters.quiver import unit
+from schur_clusters.quiver import coxeter_number, dynkin_components, unit
 from schur_clusters.reps import make_representation
 
 from oracles import (
@@ -258,6 +258,69 @@ class TestDynkin:
         # Same shape with the branch one step further out is affine E_7.
         t337 = Quiver(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (4, 8)])
         assert not t337.is_dynkin
+
+    @pytest.mark.parametrize(
+        "n, arrows, expected",
+        [
+            (1, [], (("A1", (1,)),)),
+            (3, [(2, 1), (2, 3)], (("A3", (1, 2, 3)),)),
+            (4, [(1, 2), (1, 3), (1, 4)], (("D4", (1, 2, 3, 4)),)),
+            (5, [(1, 2), (2, 3), (3, 4), (5, 3)], (("D5", (1, 2, 3, 4, 5)),)),
+            (6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)], (("E6", tuple(range(1, 7))),)),
+            (7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)], (("E7", tuple(range(1, 8))),)),
+            (8, [(8, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)],
+             (("E8", tuple(range(1, 9))),)),
+            (5, [(4, 2), (3, 5)], (("A1", (1,)), ("A2", (2, 4)), ("A2", (3, 5)))),
+        ],
+    )
+    def test_dynkin_components(self, n, arrows, expected):
+        q = Quiver(n, arrows)
+        assert dynkin_components(q) == expected
+        roots = len(positive_real_roots(q))
+        assert roots == sum(len(v) * coxeter_number(kind) // 2 for kind, v in expected)
+
+    @pytest.mark.parametrize(
+        "n, arrows",
+        [
+            (2, [(1, 2), (1, 2)]),  # Kronecker: a double edge
+            (4, [(1, 2), (2, 3), (1, 4), (4, 3)]),  # affine A3: a cycle
+            (5, [(1, 2), (1, 3), (1, 4), (1, 5)]),  # affine D4: degree 4
+            (6, [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6)]),  # affine D5: two branch points
+            (7, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 7)]),  # affine E6
+            (8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (4, 8)]),  # affine E7
+            (9, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (3, 9)]),  # affine E8
+            (3, [(1, 2)] * 3),
+        ],
+    )
+    def test_non_dynkin_components(self, n, arrows):
+        q = Quiver(n, arrows)
+        assert not q.is_dynkin
+        assert dynkin_components(q) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_components_agree_with_the_tits_form(self, data):
+        # A random forest, some extra edges, random orientations.
+        n = data.draw(st.integers(min_value=1, max_value=8))
+        edges = [
+            (data.draw(st.integers(min_value=1, max_value=v - 1)), v)
+            for v in range(2, n + 1)
+            if data.draw(st.booleans())
+        ]
+        edges += data.draw(
+            st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2)
+        )
+        arrows = [(min(s, t), max(s, t)) for s, t in edges if s != t]
+        arrows = [(t, s) if data.draw(st.booleans()) else (s, t) for s, t in arrows]
+        try:
+            q = Quiver(n, arrows)
+        except errors.CycleDetected:
+            return
+        found = dynkin_components(q)
+        assert (found is not None) == q.is_dynkin
+        if found is not None:
+            count = sum(len(v) * coxeter_number(kind) // 2 for kind, v in found)
+            assert count == len(positive_real_roots(q))
 
 
 @st.composite
