@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .einv import _schur_failure, e_invariant, e_nonzero, real_schur_roots
+from .einv import _e, _memo_for, _schur_failure, e_invariant, e_nonzero, real_schur_roots
 from .errors import BadIndex, CompletionNotFound, NotAPrecluster, NotDynkin
 from .posets import FinitePoset, assemble_poset, bit_rows, count_monotone_maps
 from .quiver import DimVec, Quiver, Record, support, tits_form, unit
@@ -104,15 +104,17 @@ def is_precluster(q: Quiver, s) -> tuple[bool, str | None]:
         tf = tits_form(q, a)
         if tf != 1:
             return (False, f"tits form of {a} is {tf}, not 1")
+    # The members are checked, so e and supports read them as they are.
+    memo = _memo_for(q)
     for a in pos:
         for b in pos:
-            val = e_invariant(q, a, b)
+            val = _e(memo, a, b)
             if val != 0:
                 return (False, f"e({a}, {b}) = {val} != 0")
     for v in neg:
         i = neg_vertex(v)
         for a in pos:
-            if i in support(a):
+            if a[i - 1]:
                 return (False, f"-e{i} meets the support of {a}")
     if not q.is_dynkin:
         for a in pos:

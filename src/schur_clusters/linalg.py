@@ -2,7 +2,7 @@
 
 Just enough for intertwiner spaces: rank, a row echelon basis, a right
 null space basis and a rank mod p.  Rows may hold ints or Fractions; null
-vectors are Fractions.
+vectors are ints (``null_vectors``) or Fractions (``nullspace``).
 
 Both eliminations are fraction-free over Python ints (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
@@ -18,9 +18,10 @@ a minor of the scaled input, so the division is exact.
   earlier column of those rows is already zero.  The rows stay an invertible
   recombination of the input, so the nonzero ones are an exact basis of the
   row space and their count is the rank.
-- ``nullspace`` needs the reduced form, so ``_reduce`` also eliminates
+- ``null_vectors`` needs the reduced form, so ``_reduce`` also eliminates
   above each pivot (Gauss–Jordan).  Then every pivot row carries ``den`` on
-  its pivot and the reduced form is ``mat / den``.
+  its pivot and the reduced form is ``mat / den``: with ``den`` on their
+  free column, the null vectors are integers.
 
 ``rank_mod_p`` is the cheap certificate beside ``rank``: forward
 elimination over F_p, p = ``PRIME``, of the integer-scaled rows reduced
@@ -38,7 +39,8 @@ number of equations, so dim Hom ≥ max(0, <dim M, dim N>); over a
 hereditary algebra this is dim Hom − dim Ext^1 = <dim M, dim N>.  The
 count mod p, unknowns − rank mod p, is at least the count over Q.  So a
 count mod p equal to max(0, <dim M, dim N>) is pinched between the two
-and exact: it is the case of full rank mod p.
+and exact: it is the case of full rank mod p.  With at least as many
+equations as unknowns, full column rank mod p proves Hom = 0.
 """
 
 from __future__ import annotations
@@ -161,17 +163,24 @@ def _reduce(rows, ncols):
     return mat, pivots, den
 
 
-def nullspace(rows, ncols: int):
-    """Basis of {x : rows . x = 0} as tuples of Fractions."""
+def null_vectors(rows, ncols: int):
+    """(basis, den): integer basis of {x : rows . x = 0}, ``den`` on each
+    vector's free column."""
     mat, pivots, den = _reduce(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = Fraction(-mat[r][f], den)
-        basis.append(tuple(vec))
-    return basis
+        vec = [0] * ncols
+        vec[f] = den
+        for row, c in zip(mat, pivots):
+            vec[c] = -row[f]
+        basis.append(vec)
+    return basis, den
+
+
+def nullspace(rows, ncols: int):
+    """Basis of {x : rows . x = 0} as tuples of Fractions."""
+    basis, den = null_vectors(rows, ncols)
+    return [tuple(Fraction(v, den) for v in vec) for vec in basis]

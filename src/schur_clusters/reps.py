@@ -11,10 +11,10 @@ exceptional modules realize cluster variables, and the generation order on
 realized clusters must reproduce the combinatorial cluster order.
 
 ``stilt_poset`` does each piece of exact work once.  It samples each
-distinct variable once and solves ``hom_basis(g, x)`` once per ordered
-pair of the sampled modules, in a table local to the call.  That table
-gives the Ext^1 = 0 check on every pair of variables sharing a cluster,
-and the image of Hom(g, x) at each vertex i, reduced once to an echelon
+distinct variable once and solves Hom(g, x) once per ordered pair of the
+sampled modules as integer null vectors (``_hom_stage``).  That gives
+the Ext^1 = 0 check on every pair of variables sharing a cluster, and
+the image of Hom(g, x) at each vertex i, reduced once to an echelon
 basis of rank r[x, g, i] (none when Hom(g, x) = 0).  Module x is generated
 by cluster c when the stacked bases of c's members have rank dim x_i at
 every vertex i.  That stacked rank is at least the largest member's rank,
@@ -43,7 +43,7 @@ from .errors import (
     ProbeExhausted,
     SizeMismatch,
 )
-from .linalg import echelon_basis, nullspace, rank, rank_mod_p
+from .linalg import echelon_basis, null_vectors, nullspace, rank, rank_mod_p
 from .posets import assemble_poset
 from .quiver import DimVec, Quiver, Record, euler_form, support, tits_form
 
@@ -54,8 +54,8 @@ class Representation(Record):
     """Matrices over Q for each arrow; matrices[a] has shape dims[t] x dims[s].
 
     Equality is field-wise.  The hash is computed once per instance: the
-    ``hom_basis`` cache looks representations up far more often than it
-    builds them, and each fresh hash walks every matrix entry.
+    ``hom_basis`` cache of ``gen_leq`` looks representations up far more
+    often than it builds them, and each fresh hash walks every matrix entry.
     """
 
     dims: DimVec
@@ -68,22 +68,23 @@ class Representation(Record):
         return self._hash
 
 
-def _check_shapes(q: Quiver, rep: Representation):
-    if len(rep.dims) != q.n:
-        raise DimensionMismatch(
-            f"representation has {len(rep.dims)} vertex spaces, quiver has {q.n}"
-        )
-    if len(rep.matrices) != len(q.arrows):
-        raise DimensionMismatch(
-            f"representation has {len(rep.matrices)} matrices for {len(q.arrows)} arrows"
-        )
-    for a, (s, t) in enumerate(q.arrows):
-        mat = rep.matrices[a]
-        rows, cols = rep.dims[t - 1], rep.dims[s - 1]
-        if len(mat) != rows or any(len(r) != cols for r in mat):
+def _check_shapes(q: Quiver, *reps: Representation):
+    for rep in reps:
+        if len(rep.dims) != q.n:
             raise DimensionMismatch(
-                f"matrix for arrow {a} ({s}->{t}) is not {rows} x {cols}"
+                f"representation has {len(rep.dims)} vertex spaces, quiver has {q.n}"
             )
+        if len(rep.matrices) != len(q.arrows):
+            raise DimensionMismatch(
+                f"representation has {len(rep.matrices)} matrices for {len(q.arrows)} arrows"
+            )
+        for a, (s, t) in enumerate(q.arrows):
+            mat = rep.matrices[a]
+            rows, cols = rep.dims[t - 1], rep.dims[s - 1]
+            if len(mat) != rows or any(len(r) != cols for r in mat):
+                raise DimensionMismatch(
+                    f"matrix for arrow {a} ({s}->{t}) is not {rows} x {cols}"
+                )
 
 
 def make_representation(q: Quiver, dims, matrices) -> Representation:
@@ -112,14 +113,13 @@ def zero_representation(q: Quiver, dims=None) -> Representation:
 
 
 def _hom_equations(q: Quiver, m: Representation, n: Representation):
-    """The intertwining equations of Hom(m, n) as (rows, total, off).
+    """The intertwining equations of Hom(m, n) as (rows, total, off), for
+    m and n whose shapes are checked.
 
     The unknowns are the entries of the per-vertex matrices phi_i (n.dims[i]
     x m.dims[i], row-major, phi_i starting at column off[i]), and each row
     is one entry of phi_target . m_a - n_a . phi_source = 0.
     """
-    _check_shapes(q, m)
-    _check_shapes(q, n)
     nv = q.n
     sizes = [n.dims[i] * m.dims[i] for i in range(nv)]
     off = [0] * nv
@@ -141,13 +141,14 @@ def _hom_equations(q: Quiver, m: Representation, n: Representation):
     return rows, total, off
 
 
-# Bounded so a long process cannot grow it without end.  ``stilt_poset``
-# holds its own m^2 table (E8 has 120^2 pairs), so nothing relies on this
-# cache holding every pair of a call.
+# Bounded so a long process cannot grow it without end.  Only the
+# per-pair reference ``gen_leq`` reads it; ``stilt_poset`` solves each of
+# its m^2 pairs once in ``_hom_stage`` (E8 has 120^2).
 @lru_cache(maxsize=4096)
 def hom_basis(q: Quiver, m: Representation, n: Representation):
     """Basis of Hom(m, n): tuples of per-vertex matrices phi_i with
     phi_target . m_a = n_a . phi_source for every arrow a."""
+    _check_shapes(q, m, n)
     rows, total, off = _hom_equations(q, m, n)
     basis = nullspace(rows, total)
     morphisms = []
@@ -165,6 +166,15 @@ def hom_basis(q: Quiver, m: Representation, n: Representation):
     return tuple(morphisms)
 
 
+def _hom_vectors(q: Quiver, m: Representation, n: Representation):
+    """Hom(m, n) as ``linalg.null_vectors`` of ``_hom_equations``, with no
+    exact elimination where a full column rank mod p proves Hom = 0."""
+    rows, total, _ = _hom_equations(q, m, n)
+    if len(rows) >= total and rank_mod_p(rows, total) == total:
+        return []
+    return null_vectors(rows, total)[0]
+
+
 def hom_dim(q: Quiver, m: Representation, n: Representation) -> int:
     """dim Hom(m, n): the unknowns of the intertwining equations minus their
     rank.  Only the rank is computed, so no basis is built.
@@ -174,6 +184,7 @@ def hom_dim(q: Quiver, m: Representation, n: Representation) -> int:
     (see ``linalg``).  That is the End = Q test of an exceptional module and
     every Ext^1 = 0 check.  Any other count is taken from the exact rank.
     """
+    _check_shapes(q, m, n)
     rows, total, _ = _hom_equations(q, m, n)
     r = rank_mod_p(rows, total)
     if r < min(len(rows), total):
@@ -391,34 +402,30 @@ def gen_leq(q: Quiver, n, m) -> bool:
     return all(_generated(q, rep, gens) for rep in _reps_of(n))
 
 
-def _image_bases(modules, homs) -> list[list[list]]:
-    """bases[x][g][i]: integer echelon rows spanning the image at vertex i
-    of all homomorphisms from module g to module x (the columns of phi_i,
-    for phi in ``homs[x][g]`` = ``hom_basis(g, x)``).  A zero Hom space
-    has empty bases at every vertex."""
-    bases = []
-    for x, homs_x in zip(modules, homs):
-        empty = [[] for _ in x.dims]
-        per_g = []
-        for g, hom in zip(modules, homs_x):
-            if not hom:
-                per_g.append(empty)
-                continue
-            per_g.append(
-                [
-                    echelon_basis(
-                        [
-                            [phi[i][r][c] for r in range(d)]
-                            for phi in hom
-                            for c in range(g.dims[i])
-                        ],
-                        d,
-                    )
-                    for i, d in enumerate(x.dims)
-                ]
-            )
-        bases.append(per_g)
+def _images(g: Representation, x: Representation, vecs) -> list[list[list[int]]]:
+    """Integer echelon rows spanning the image at each vertex i of the maps
+    ``vecs`` (null vectors of ``_hom_equations(q, g, x)``): the columns of
+    each phi_i."""
+    bases, o = [], 0
+    for gd, d in zip(g.dims, x.dims):
+        size = gd * d
+        # Column c of phi_i holds the entries o + r * gd + c, r < d.
+        bases.append(echelon_basis([v[o + c : o + size : gd] for v in vecs for c in range(gd)], d))
+        o += size
     return bases
+
+
+def _hom_stage(q: Quiver, modules):
+    """(homs, bases) over ordered pairs of ``modules``: homs[x][g] = dim
+    Hom(g, x), and bases[x][g] = ``_images`` of Hom(g, x), empty at every
+    vertex when Hom(g, x) = 0."""
+    _check_shapes(q, *modules)
+    homs, bases = [], []
+    for x in modules:
+        vecs = [_hom_vectors(q, g, x) for g in modules]
+        homs.append([len(v) for v in vecs])
+        bases.append([_images(g, x, v) for g, v in zip(modules, vecs)])
+    return homs, bases
 
 
 def _fills(x: Representation, per_g, gens) -> bool:
@@ -487,13 +494,14 @@ def stilt_poset(table: ClusterTable, seed: int = 0, budget: int = 8):
     Every piece of exact work is done once:
 
     - each positive variable is sampled once (``_sample``);
-    - ``hom_basis(g, x)`` is solved once per ordered pair of the m modules
-      and held in a table local to the call, since the module cache is
-      bounded and E8 has 120^2 pairs.  The Ext^1 = 0 check on variables
-      sharing a cluster reads dim Hom from it, Ext^1(a, b) = dim Hom(a, b)
-      - <a, b>, with ``ext_dim``'s ``NegativeExt`` guard;
+    - Hom(g, x) is solved once per ordered pair of the m modules
+      (``_hom_stage``), each module's shapes checked once.  The Ext^1 = 0
+      check on variables sharing a cluster reads dim Hom from it,
+      Ext^1(a, b) = dim Hom(a, b) - <a, b>, with ``ext_dim``'s
+      ``NegativeExt`` guard;
     - the image of Hom(g, x) at each vertex is reduced to an integer
-      echelon basis once per (g, x, vertex), skipped when Hom(g, x) = 0.
+      echelon basis once per (g, x, vertex), from the columns of the
+      integer null vectors, with no Fraction built.
 
     G[x, c] holds when the stacked bases of c's summands have full rank at
     every vertex of x, which is ``_generated``'s trace criterion.  The
@@ -512,12 +520,9 @@ def stilt_poset(table: ClusterTable, seed: int = 0, budget: int = 8):
     members = table.members[:, cols]
     variables = [table.variables[i] for i in cols]
     modules = [sampled[v] for v in variables]
-    homs = [[hom_basis(q, g, x) for g in modules] for x in modules]
+    homs, bases = _hom_stage(q, modules)
     index = {v: k for k, v in enumerate(variables)}
-    _check_ext(
-        q, enum.items, sampled, lambda va, vb: len(homs[index[vb]][index[va]])
-    )
-    bases = _image_bases(modules, homs)
+    _check_ext(q, enum.items, sampled, lambda va, vb: homs[index[vb]][index[va]])
     generated = _generation_table(q, modules, bases, members)
     leq = ~(members @ ~generated)
     realized = _module_lists(q, enum.items, sampled)

@@ -401,6 +401,40 @@ def generation_table_oracle(q, modules, members) -> np.ndarray:
     )
 
 
+def image_bases_oracle(modules, homs) -> list[list[list]]:
+    """bases[x][g][i]: integer echelon rows spanning the image at vertex i
+    of all homomorphisms from module g to module x (the columns of phi_i,
+    for phi in ``homs[x][g]`` = ``hom_basis(g, x)``, whose entries are
+    Fractions).  A zero Hom space has empty bases at every vertex.  The
+    reference for ``reps._hom_stage``, which reads the columns off integer
+    null vectors and proves most zero Hom spaces by a rank mod p."""
+    from schur_clusters.linalg import echelon_basis
+
+    bases = []
+    for x, homs_x in zip(modules, homs):
+        empty = [[] for _ in x.dims]
+        per_g = []
+        for g, hom in zip(modules, homs_x):
+            if not hom:
+                per_g.append(empty)
+                continue
+            per_g.append(
+                [
+                    echelon_basis(
+                        [
+                            [phi[i][r][c] for r in range(d)]
+                            for phi in hom
+                            for c in range(g.dims[i])
+                        ],
+                        d,
+                    )
+                    for i, d in enumerate(x.dims)
+                ]
+            )
+        bases.append(per_g)
+    return bases
+
+
 def box_fill_oracle(emat, top) -> dict:
     """S(w) for every w of the box 0 <= w <= top, one cell at a time.
 

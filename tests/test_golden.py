@@ -5,10 +5,10 @@ below: criterion 8's determinism set plus the all-preclusters path on D4,
 the incomplete (height-bounded) poset on the Kronecker quiver, the A3
 ``stilt`` DOT labels, and ``verify`` off Dynkin (Kronecker, bound 5) and
 on a height-bounded Dynkin quiver (D4, bound 3, box 0).  Outputs too large to keep as files (E6, E8, A5
-DOT, D4, E6 and E7 ``stilt``, E6 ``verify``, E7 ``poset`` and E7
+DOT, D4, E6 and E7 ``stilt``, E6 and E7 ``verify``, E7 ``poset`` and E7
 ``torsion-count`` on a 2-chain) and affine A3 ``schur`` are pinned by
-the sha256 of their stdout in ``digests.json``; E7 ``stilt``, ``poset``
-and ``torsion-count`` and E6 ``verify`` run only under
+the sha256 of their stdout in ``digests.json``; E7 ``stilt``, ``poset``,
+``verify`` and ``torsion-count`` and E6 ``verify`` run only under
 ``SCHUR_CLUSTERS_LARGE=1``.
 ``REFUSALS`` pins the one stderr line and the exit status of refused
 calls, among them ``realize`` on a real root of affine A3 that is not a
@@ -81,6 +81,8 @@ DIGEST_INVOCATIONS = {
     "stilt-e6-s5.json": ["stilt", "--quiver", _in("e6.quiver"), "--seed", "5"],
     "stilt-e7-s5.json": ["stilt", "--quiver", _in("e7.quiver"), "--seed", "5"],
     "verify-e6.txt": ["verify", "--quiver", _in("e6.quiver")],
+    # Its stilt-match builds the support tilting poset of all 4160 clusters.
+    "verify-e7-box0.txt": ["verify", "--quiver", _in("e7.quiver"), "--box", "0"],
     "poset-e7.json": ["poset", "--quiver", _in("e7.quiver"), "--allow-large"],
     # The chain(2) count is the number of order pairs: 1571276 on E7.
     "torsion-count-e7-chain2.txt": [
@@ -132,6 +134,7 @@ REFUSALS = {
 LARGE_DIGESTS = {
     "stilt-e7-s5.json",
     "verify-e6.txt",
+    "verify-e7-box0.txt",
     "poset-e7.json",
     "torsion-count-e7-chain2.txt",
 }

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schur_clusters import linalg
-from schur_clusters.linalg import echelon_basis, nullspace, rank, rank_mod_p
+from schur_clusters.linalg import echelon_basis, null_vectors, nullspace, rank, rank_mod_p
 
-from oracles import nullspace_oracle, rank_oracle
+from oracles import nullspace_oracle, rank_oracle, rref_oracle
 
 _ENTRIES = st.one_of(
     st.integers(min_value=-4, max_value=4),
@@ -62,6 +62,25 @@ class TestAgainstFractionElimination:
             assert all(type(v) is Fraction for v in vec)
             for row in rows:
                 assert sum(a * x for a, x in zip(row, vec)) == 0
+
+
+class TestIntegerNullVectors:
+    @settings(max_examples=80, deadline=None)
+    @given(matrices())
+    def test_integral_exact_and_equal_to_oracle_over_free_entry(self, case):
+        rows, ncols = case
+        vectors, den = null_vectors(rows, ncols)
+        expected = nullspace_oracle(rows, ncols)
+        _, pivots = rref_oracle(rows, ncols)
+        free = [c for c in range(ncols) if c not in pivots]
+        assert len(vectors) == len(expected) == len(free)
+        for vec, f, ref in zip(vectors, free, expected):
+            assert len(vec) == ncols
+            assert all(type(v) is int for v in vec)
+            for row in rows:
+                assert sum(a * x for a, x in zip(row, vec)) == 0
+            assert vec[f] == den != 0
+            assert tuple(Fraction(v, vec[f]) for v in vec) == ref
 
 
 class TestExamples:

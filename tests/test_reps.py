@@ -38,7 +38,7 @@ from schur_clusters import (
     zero_representation,
 )
 
-from oracles import generation_table_oracle, hom_dim_oracle
+from oracles import generation_table_oracle, hom_dim_oracle, image_bases_oracle
 
 D4_CENTRE = Quiver(4, [(1, 2), (2, 3), (2, 4)])
 D4_SOURCE = Quiver(4, [(1, 2), (1, 3), (1, 4)])
@@ -471,6 +471,103 @@ class TestGenerationTable:
             assert _captured_table(monkeypatch, q, seed=seed)["fills"] == fills
 
 
+def _sampled_roots(q, seed=5):
+    """One sampled module per positive root, as ``stilt_poset`` samples the
+    variables of q's full cluster table."""
+    roots = positive_real_roots(q).roots
+    sampled = reps._sample(q, [roots], seed, 8)
+    return [sampled[v] for v in roots]
+
+
+def _count_exact(monkeypatch) -> list:
+    """Record the column count of every exact null space ``reps`` takes."""
+    exact = []
+    vectors = reps.null_vectors
+
+    def counted(rows, ncols):
+        exact.append(ncols)
+        return vectors(rows, ncols)
+
+    monkeypatch.setattr(reps, "null_vectors", counted)
+    return exact
+
+
+class TestHomStage:
+    """``stilt_poset``'s Hom stage (integer null vectors, Hom = 0 by a rank
+    mod p) against ``hom_dim``, ``hom_basis`` and the Fraction route to the
+    image bases."""
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            Quiver(3, [(1, 2), (2, 3)]),
+            D4_SOURCE,
+            D4_CENTRE,
+            GOLDEN / "e6.quiver",
+            pytest.param(
+                GOLDEN / "e7.quiver",
+                marks=pytest.mark.skipif(
+                    not os.environ.get("SCHUR_CLUSTERS_LARGE"),
+                    reason="stretch target; set SCHUR_CLUSTERS_LARGE=1 to run",
+                ),
+            ),
+        ],
+        ids=["A3", "D4-source", "D4-centre", "E6", "E7"],
+    )
+    def test_dims_and_image_ranks_equal_fraction_route(self, q):
+        if isinstance(q, Path):
+            q = parse_quiver_file(q)
+        modules = _sampled_roots(q)
+        homs, bases = reps._hom_stage(q, modules)
+        fraction = [[hom_basis(q, g, x) for g in modules] for x in modules]
+        assert homs == [[len(h) for h in row] for row in fraction]
+        assert homs == [[hom_dim(q, g, x) for g in modules] for x in modules]
+        expected = image_bases_oracle(modules, fraction)
+        assert [[[len(b) for b in per_i] for per_i in per_g] for per_g in bases] == [
+            [[len(b) for b in per_i] for per_i in per_g] for per_g in expected
+        ]
+        assert all(type(v) is int for per_g in bases for per_i in per_g
+                   for b in per_i for row in b for v in row)
+        # Both routes occur: some Hom spaces are zero, some are not.
+        flat = [h for row in homs for h in row]
+        assert 0 in flat and max(flat) > 0
+
+    @pytest.mark.parametrize(
+        "q, certified", [(D4_SOURCE, 90), (GOLDEN / "e6.quiver", 834)], ids=["D4-source", "E6"]
+    )
+    def test_certified_pair_counts(self, monkeypatch, q, certified):
+        # On a Dynkin quiver Hom(g, x) = 0 exactly when <g, x> <= 0, which
+        # is when the equations are at least as many as the unknowns.  Every
+        # such pair is certified here, for both seeds.
+        if isinstance(q, Path):
+            q = parse_quiver_file(q)
+        exact = _count_exact(monkeypatch)
+        for seed in (0, 5):
+            modules = _sampled_roots(q, seed)
+            exact.clear()
+            reps._hom_stage(q, modules)
+            assert len(modules) ** 2 - len(exact) == certified
+            dims = [m.dims for m in modules]
+            assert certified == sum(euler_form(q, g, x) <= 0 for g in dims for x in dims)
+
+    @pytest.mark.parametrize("q", [D4_SOURCE, A5, GOLDEN / "e6.quiver"], ids=["D4", "A5", "E6"])
+    def test_same_poset_without_certificates(self, monkeypatch, q):
+        if isinstance(q, Path):
+            q = parse_quiver_file(q)
+        table = cluster_table(q)
+        expected = stilt_poset(table, seed=2)
+        exact = _count_exact(monkeypatch)
+        # -1 is below every rank, so no count mod p is certified.
+        monkeypatch.setattr(reps, "rank_mod_p", lambda rows, ncols: -1)
+        got = stilt_poset(table, seed=2)
+        assert got.elements == expected.elements
+        assert (np.asarray(got.leq) == np.asarray(expected.leq)).all()
+        assert got.hasse == expected.hasse
+        # Every pair of modules, one per positive root, took the exact null
+        # space.
+        assert len(exact) == len(positive_real_roots(q).roots) ** 2
+
+
 class TestSharedExtCheck:
     """``stilt_poset`` reads its Ext^1 = 0 check off the Hom table, and
     fails as ``realize_cluster`` does."""
@@ -501,12 +598,12 @@ class TestSharedExtCheck:
 
     def test_negative_ext_guard(self, monkeypatch):
         # Dropping the one map P2 -> P1 leaves dim Hom = 0 < <P2, P1> = 1.
-        basis = reps.hom_basis
+        vectors = reps._hom_vectors
 
         def dropped(q, m, n):
-            return () if (m.dims, n.dims) == ((0, 1), (1, 1)) else basis(q, m, n)
+            return [] if (m.dims, n.dims) == ((0, 1), (1, 1)) else vectors(q, m, n)
 
-        monkeypatch.setattr(reps, "hom_basis", dropped)
+        monkeypatch.setattr(reps, "_hom_vectors", dropped)
         with pytest.raises(errors.NegativeExt) as neg:
             stilt_poset(cluster_table(self.A2))
         assert neg.value.info["dims"] == ((0, 1), (1, 1))
